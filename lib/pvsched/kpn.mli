@@ -42,9 +42,12 @@ val enabled : t -> process -> bool
 (** Fire [p] once (inputs must be available). *)
 val fire_once : t -> process -> unit
 
-(** Run until no process is enabled; [order] permutes scheduling
-    preference (the result is the same for every order).  Returns the
-    number of firings.
+(** Run until no process is enabled, always firing the enabled process
+    that comes first in [order processes] ([order] is applied once and
+    permutes scheduling preference; the streams are the same for every
+    order).  Linear in firings, up to a log factor: a firing rechecks
+    only the consumers of its output channels.  Returns the number of
+    firings.
     @raise Deadlock when [max_firings] is exceeded. *)
 val run : ?order:(process list -> process list) -> ?max_firings:int -> t -> int
 

@@ -30,10 +30,69 @@ type cost_model = Kpn.process -> core -> int
 
 type placement = (string * core) list  (** process name -> core *)
 
-let core_of (pl : placement) (p : Kpn.process) =
-  match List.assoc_opt p.Kpn.pname pl with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Mapper.core_of: %s unplaced" p.Kpn.pname)
+(** [core_of pl] indexes [pl] once (the first binding of a name wins, as
+    with [List.assoc]) and returns the process -> core lookup; apply it
+    to [pl] once and reuse the result.
+    @raise Invalid_argument for an unplaced process. *)
+let core_of (pl : placement) : Kpn.process -> core =
+  let idx = Hashtbl.create (List.length pl) in
+  List.iter
+    (fun (name, c) -> if not (Hashtbl.mem idx name) then Hashtbl.add idx name c)
+    pl;
+  fun p ->
+    match Hashtbl.find_opt idx p.Kpn.pname with
+    | Some c -> c
+    | None -> invalid_arg (Printf.sprintf "Mapper.core_of: %s unplaced" p.Kpn.pname)
+
+(** [core_slot cores] maps a core name to its index in [cores] (the first
+    core of that name); per-core state lives in arrays over these indices.
+    @raise Invalid_argument for a core that is not in [cores]. *)
+let core_slot (cores : core array) : string -> int =
+  let idx = Hashtbl.create 8 in
+  Array.iteri
+    (fun i c -> if not (Hashtbl.mem idx c.cname) then Hashtbl.add idx c.cname i)
+    cores;
+  fun name ->
+    match Hashtbl.find_opt idx name with
+    | Some i -> i
+    | None ->
+      invalid_arg (Printf.sprintf "Mapper: core %s is not on the platform" name)
+
+(* Greedy list placement shared by [place] and [remap]: heaviest process
+   first, each to the core of [cores] minimising [score p core load] (the
+   first such core on ties), whose [load] then grows by the firing cost.
+   [load] is indexed by core slot.  Returns (process, core) in that
+   heaviest-first order. *)
+let greedy (cost : cost_model) (cores : core array) (load : int array) score
+    (ps : Kpn.process list) : (Kpn.process * core) list =
+  let slots = Array.map (fun c -> core_slot cores c.cname) cores in
+  List.stable_sort
+    (fun (a : Kpn.process) (b : Kpn.process) -> compare b.Kpn.work a.Kpn.work)
+    ps
+  |> List.map (fun (p : Kpn.process) ->
+         let score_p = score p in
+         let score_at i = score_p cores.(i) load.(slots.(i)) in
+         let best = ref 0 and best_score = ref (score_at 0) in
+         for i = 1 to Array.length cores - 1 do
+           let s = score_at i in
+           if s < !best_score then begin
+             best := i;
+             best_score := s
+           end
+         done;
+         let c = cores.(!best) in
+         load.(slots.(!best)) <- load.(slots.(!best)) + cost p c;
+         (p, c))
+
+(* [choices] (process, core) as a name -> core table; the first choice
+   for a name wins *)
+let choice_table choices =
+  let t = Hashtbl.create (List.length choices) in
+  List.iter
+    (fun ((p : Kpn.process), c) ->
+      if not (Hashtbl.mem t p.Kpn.pname) then Hashtbl.add t p.Kpn.pname c)
+    choices;
+  t
 
 (** Greedy annotation- and load-aware placement.  Processes are placed
     heaviest-first; each goes to the core minimizing
@@ -44,51 +103,30 @@ let core_of (pl : placement) (p : Kpn.process) =
 let place (platform : platform) (cost : cost_model) (ps : Kpn.process list) :
     placement =
   if platform.cores = [] then invalid_arg "Mapper.place: empty platform";
-  let load = Hashtbl.create 8 in
-  List.iter (fun c -> Hashtbl.replace load c.cname 0) platform.cores;
-  (* heaviest processes first so they get first pick of the fast cores *)
-  let by_weight =
-    List.stable_sort
-      (fun (a : Kpn.process) (b : Kpn.process) -> compare b.Kpn.work a.Kpn.work)
-      ps
+  let cores = Array.of_list platform.cores in
+  let score (p : Kpn.process) =
+    let prefs =
+      match Pvir.Annot.find_list Pvir.Annot.key_hw_prefs p.Kpn.annots with
+      | Some l ->
+        List.filter_map
+          (function Pvir.Annot.Str s -> Pvmach.Capability.of_string s | _ -> None)
+          l
+      | None -> []
+    in
+    fun c load ->
+      let prefs_met =
+        List.length
+          (List.filter (fun cap -> Pvmach.Machine.has_cap c.machine cap) prefs)
+      in
+      (load + cost p c, -prefs_met)
   in
   let placed =
-    List.map
-      (fun (p : Kpn.process) ->
-        let prefs =
-          match Pvir.Annot.find_list Pvir.Annot.key_hw_prefs p.Kpn.annots with
-          | Some l ->
-            List.filter_map
-              (function
-                | Pvir.Annot.Str s -> Pvmach.Capability.of_string s
-                | _ -> None)
-              l
-          | None -> []
-        in
-        let score c =
-          let prefs_met =
-            List.length
-              (List.filter (fun cap -> Pvmach.Machine.has_cap c.machine cap) prefs)
-          in
-          let l = try Hashtbl.find load c.cname with Not_found -> 0 in
-          (l + cost p c, -prefs_met)
-        in
-        let best =
-          match platform.cores with
-          | c :: rest ->
-            List.fold_left
-              (fun acc c' -> if score c' < score acc then c' else acc)
-              c rest
-          | [] -> assert false
-        in
-        Hashtbl.replace load best.cname
-          ((try Hashtbl.find load best.cname with Not_found -> 0)
-          + cost p best);
-        (p.Kpn.pname, best))
-      by_weight
+    choice_table (greedy cost cores (Array.make (Array.length cores) 0) score ps)
   in
   (* return in the caller's process order *)
-  List.map (fun (p : Kpn.process) -> (p.Kpn.pname, List.assoc p.Kpn.pname placed)) ps
+  List.map
+    (fun (p : Kpn.process) -> (p.Kpn.pname, Hashtbl.find placed p.Kpn.pname))
+    ps
 
 (** Place everything on a single core (the baseline the paper's scenario
     contrasts against: third-party code confined to the host). *)
@@ -118,83 +156,135 @@ let makespan_of_events (evs : sched_event list) : int64 =
     (fun acc e -> if Int64.compare e.se_end acc > 0 then e.se_end else acc)
     0L evs
 
+(** Where one firing runs: the per-firing decision {!list_schedule} asks
+    for. *)
+type decision =
+  | Run of core * bool
+      (** the whole firing on this core; [true] when that is not the
+          process's original placement *)
+  | Split of { dying : core; survivor : core; at : int64; overhead : int }
+      (** caught mid-execution by [dying]'s failure at cycle [at]:
+          checkpointed there, then resumed on [survivor] after
+          [overhead] cycles *)
+
+(** The list scheduler behind {!schedule}, {!schedule_with_failure} and
+    {!schedule_with_migration}.  It walks [net]'s firing trace
+    ({!Kpn.trace}) in dataflow order.  [decide p start_on] places each
+    firing of [p], where [start_on c] is the cycle the firing could start
+    on core [c]: once [c] is free and every input token has arrived, plus
+    the transfer cost for each token produced on another core.  Token
+    arrival times sit in one FIFO queue per channel, which starts with
+    the channel's external tokens (available at cycle 0 on every core).
+    The cost is linear in the number of firings.  A [Split] firing is a
+    truncated span on the dying core up to [at], then the remaining
+    work, rescaled to the survivor's cost for the kernel, on the
+    survivor.  Both spans carry [se_migrated = true] and each split is
+    recorded in [ledger] as a {!Pvtrace.Ledger.Migrate} event.
+    @raise Invalid_argument when a firing is placed on a core that is not
+    on [platform]. *)
+let list_schedule ?ledger (platform : platform) (cost : cost_model)
+    (decide : Kpn.process -> (core -> int64) -> decision) (net : Kpn.t) :
+    sched_event list =
+  let cores = Array.of_list platform.cores in
+  let slot = core_slot cores in
+  let core_free = Array.make (Array.length cores) 0L in
+  (* per channel, (arrival cycle, producing core) of each token not yet
+     consumed; [None] is an external token *)
+  let tokens = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun name q ->
+      let tq = Queue.create () in
+      Queue.iter (fun _ -> Queue.add None tq) q;
+      Hashtbl.replace tokens name tq)
+    net.Kpn.channels;
+  let tr = Kpn.trace net in
+  let events = ref [] in
+  let emit (p : Kpn.process) firing c start t_end ~remapped ~migrated =
+    events :=
+      {
+        se_proc = p.Kpn.pname;
+        se_firing = firing;
+        se_core = c.cname;
+        se_start = start;
+        se_end = t_end;
+        se_remapped = remapped;
+        se_migrated = migrated;
+      }
+      :: !events
+  in
+  let finish (p : Kpn.process) c t_end =
+    core_free.(slot c.cname) <- t_end;
+    List.iter
+      (fun ch -> Queue.add (Some (t_end, c.cname)) (Hashtbl.find tokens ch))
+      p.Kpn.outputs
+  in
+  List.iter
+    (fun ((p : Kpn.process), firing) ->
+      let sources =
+        List.map
+          (fun ch -> Option.join (Queue.take_opt (Hashtbl.find tokens ch)))
+          p.Kpn.inputs
+      in
+      let start_on c =
+        let ready =
+          List.fold_left
+            (fun acc -> function
+              | None -> acc
+              | Some (t, producer) ->
+                let t =
+                  if String.equal producer c.cname then t
+                  else Int64.add t (Int64.of_int platform.transfer_cost)
+                in
+                max acc t)
+            0L sources
+        in
+        max ready core_free.(slot c.cname)
+      in
+      match decide p start_on with
+      | Run (c, remapped) ->
+        let start = start_on c in
+        let t_end = Int64.add start (Int64.of_int (cost p c)) in
+        finish p c t_end;
+        emit p firing c start t_end ~remapped ~migrated:false
+      | Split { dying; survivor; at; overhead } ->
+        let start0 = start_on dying in
+        let cost0 = cost p dying in
+        let done0 = Int64.to_int (Int64.sub at start0) in
+        (* remaining work, rescaled to the survivor's speed for this
+           kernel (ceiling so a nonzero remainder costs >= 1) *)
+        let rem1 =
+          if cost0 <= 0 then 0
+          else (((cost0 - done0) * cost p survivor) + cost0 - 1) / cost0
+        in
+        emit p firing dying start0 at ~remapped:false ~migrated:true;
+        (* the dying core was occupied right up to the failure; later
+           firings must not be list-scheduled onto it in the past *)
+        core_free.(slot dying.cname) <- at;
+        let start1 =
+          max (Int64.add at (Int64.of_int overhead))
+            core_free.(slot survivor.cname)
+        in
+        let end1 = Int64.add start1 (Int64.of_int rem1) in
+        finish p survivor end1;
+        emit p firing survivor start1 end1 ~remapped:true ~migrated:true;
+        Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Migrate
+          ~subject:p.Kpn.pname
+          ~detail:
+            (Printf.sprintf
+               "firing #%d checkpointed on %s at cycle %Ld, resumed on %s \
+                at cycle %Ld"
+               firing dying.cname at survivor.cname start1))
+    tr;
+  List.rev !events
+
 (** Simulate [net]'s firing trace under a placement as a list schedule and
     return the per-firing schedule: a firing starts when its core is free
     and all its input tokens have arrived (plus an inter-core transfer
     latency when producer and consumer sit on different cores). *)
 let schedule (platform : platform) (cost : cost_model) (pl : placement)
     (net : Kpn.t) : sched_event list =
-  (* tokens already in a channel before the run are external inputs,
-     available at time 0; internally produced tokens come after them *)
-  let external_count = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name q -> Hashtbl.replace external_count name (Queue.length q))
-    net.Kpn.channels;
-  let tr = Kpn.trace net in
-  (* core availability and per-channel last-producer info *)
-  let core_free = Hashtbl.create 8 in
-  List.iter (fun c -> Hashtbl.replace core_free c.cname 0L) platform.cores;
-  (* time at which the k-th token of each channel is available, plus the
-     core that produced it *)
-  let chan_tokens : (string, (int64 * string) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let chan_consumed = Hashtbl.create 16 in
-  let token_ready chan ~consumer_core =
-    let produced =
-      match Hashtbl.find_opt chan_tokens chan with
-      | Some l -> List.rev !l
-      | None -> []
-    in
-    let k = try Hashtbl.find chan_consumed chan with Not_found -> 0 in
-    Hashtbl.replace chan_consumed chan (k + 1);
-    let ext = try Hashtbl.find external_count chan with Not_found -> 0 in
-    if k < ext then 0L
-    else
-    match List.nth_opt produced (k - ext) with
-    | Some (t, producer_core) ->
-      if String.equal producer_core consumer_core then t
-      else Int64.add t (Int64.of_int platform.transfer_cost)
-    | None -> 0L  (* externally provided input: available at time 0 *)
-  in
-  let events = ref [] in
-  List.iter
-    (fun ((p : Kpn.process), firing) ->
-      let core = core_of pl p in
-      let inputs_ready =
-        List.fold_left
-          (fun acc chan -> max acc (token_ready chan ~consumer_core:core.cname))
-          0L p.Kpn.inputs
-      in
-      let free = try Hashtbl.find core_free core.cname with Not_found -> 0L in
-      let start = max inputs_ready free in
-      let t_end = Int64.add start (Int64.of_int (cost p core)) in
-      Hashtbl.replace core_free core.cname t_end;
-      List.iter
-        (fun chan ->
-          let l =
-            match Hashtbl.find_opt chan_tokens chan with
-            | Some l -> l
-            | None ->
-              let l = ref [] in
-              Hashtbl.replace chan_tokens chan l;
-              l
-          in
-          l := (t_end, core.cname) :: !l)
-        p.Kpn.outputs;
-      events :=
-        {
-          se_proc = p.Kpn.pname;
-          se_firing = firing;
-          se_core = core.cname;
-          se_start = start;
-          se_end = t_end;
-          se_remapped = false;
-          se_migrated = false;
-        }
-        :: !events)
-    tr;
-  List.rev !events
+  let core_of = core_of pl in
+  list_schedule platform cost (fun p _ -> Run (core_of p, false)) net
 
 (** Simulate the makespan of running [net]'s firing trace under a
     placement.  Returns total cycles (on the slowest path). *)
@@ -223,61 +313,68 @@ type failure = {
     Processes on live cores keep their placement (their code is already
     compiled).  Each displaced process is a graceful degradation, recorded
     in [ledger] as an {!Pvtrace.Ledger.Accel_remap} event.
-    @raise Invalid_argument if [dead] is the only core. *)
+    @raise Invalid_argument if [dead] is the only core, or if [pl] uses a
+    core that is not on [platform]. *)
 let remap ?ledger (platform : platform) (cost : cost_model) (pl : placement)
     ~(dead : string) (ps : Kpn.process list) : placement =
   let survivors =
-    List.filter (fun c -> not (String.equal c.cname dead)) platform.cores
+    Array.of_list
+      (List.filter (fun c -> not (String.equal c.cname dead)) platform.cores)
   in
-  if survivors = [] then invalid_arg "Mapper.remap: no surviving core";
-  let load = Hashtbl.create 8 in
-  List.iter (fun c -> Hashtbl.replace load c.cname 0) survivors;
+  if survivors = [||] then invalid_arg "Mapper.remap: no surviving core";
+  let slot = core_slot survivors in
+  let load = Array.make (Array.length survivors) 0 in
+  let core_of = core_of pl in
+  let displaced, staying =
+    List.partition
+      (fun (p : Kpn.process) -> String.equal (core_of p).cname dead)
+      ps
+  in
   List.iter
     (fun (p : Kpn.process) ->
-      let c = core_of pl p in
-      if not (String.equal c.cname dead) then
-        Hashtbl.replace load c.cname
-          ((try Hashtbl.find load c.cname with Not_found -> 0) + cost p c))
-    ps;
-  let displaced =
-    List.filter (fun (p : Kpn.process) -> String.equal (core_of pl p).cname dead) ps
-  in
-  let by_weight =
-    List.stable_sort
-      (fun (a : Kpn.process) (b : Kpn.process) -> compare b.Kpn.work a.Kpn.work)
-      displaced
-  in
+      let c = core_of p in
+      load.(slot c.cname) <- load.(slot c.cname) + cost p c)
+    staying;
   let moved =
-    List.map
-      (fun (p : Kpn.process) ->
-        let score c =
-          (try Hashtbl.find load c.cname with Not_found -> 0) + cost p c
-        in
-        let best =
-          match survivors with
-          | c :: rest ->
-            List.fold_left
-              (fun acc c' -> if score c' < score acc then c' else acc)
-              c rest
-          | [] -> assert false
-        in
-        Hashtbl.replace load best.cname
-          ((try Hashtbl.find load best.cname with Not_found -> 0)
-          + cost p best);
-        Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Accel_remap
-          ~subject:p.Kpn.pname
-          ~detail:
-            (Printf.sprintf "core %s failed; re-JITted for %s" dead
-               best.cname);
-        (p.Kpn.pname, best))
-      by_weight
+    greedy cost survivors load (fun p c load -> load + cost p c) displaced
+    |> List.map (fun ((p : Kpn.process), best) ->
+           Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Accel_remap
+             ~subject:p.Kpn.pname
+             ~detail:
+               (Printf.sprintf "core %s failed; re-JITted for %s" dead
+                  best.cname);
+           (p, best))
+    |> choice_table
   in
   List.map
     (fun (name, c) ->
-      match List.assoc_opt name moved with
+      match Hashtbl.find_opt moved name with
       | Some c' -> (name, c')
       | None -> (name, c))
     pl
+
+(* The decision under [failure]: firings on the dead core that complete
+   by [failure.at] still run there, later ones run on the {!remap}ped
+   placement.  With [overhead] (live migration) a firing caught
+   mid-execution is split instead of rerun. *)
+let recovering ?ledger platform cost pl ~(failure : failure) ~overhead
+    (net : Kpn.t) =
+  let pl' =
+    remap ?ledger platform cost pl ~dead:failure.dead_core net.Kpn.processes
+  in
+  let home = core_of pl and survivor = core_of pl' in
+  fun p start_on ->
+    let c0 = home p in
+    if not (String.equal c0.cname failure.dead_core) then Run (c0, false)
+    else
+      let start0 = start_on c0 in
+      if Int64.compare (Int64.add start0 (Int64.of_int (cost p c0))) failure.at <= 0
+      then Run (c0, false)
+      else
+        match overhead with
+        | Some overhead when Int64.compare start0 failure.at < 0 ->
+          Split { dying = c0; survivor = survivor p; at = failure.at; overhead }
+        | _ -> Run (survivor p, true)
 
 (** Per-firing schedule under an accelerator failure: firings on the dead
     core that would complete by [failure.at] still run there; everything
@@ -288,91 +385,9 @@ let remap ?ledger (platform : platform) (cost : cost_model) (pl : placement)
     in [ledger]. *)
 let schedule_with_failure ?ledger (platform : platform) (cost : cost_model)
     (pl : placement) ~(failure : failure) (net : Kpn.t) : sched_event list =
-  let ps = net.Kpn.processes in
-  let pl' = remap ?ledger platform cost pl ~dead:failure.dead_core ps in
-  let external_count = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name q -> Hashtbl.replace external_count name (Queue.length q))
-    net.Kpn.channels;
-  let tr = Kpn.trace net in
-  let core_free = Hashtbl.create 8 in
-  List.iter (fun c -> Hashtbl.replace core_free c.cname 0L) platform.cores;
-  let chan_tokens : (string, (int64 * string) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let chan_consumed = Hashtbl.create 16 in
-  (* when the k-th token of [chan] was produced and by which core; [None]
-     means it is an external input available at time 0 *)
-  let token_source chan : (int64 * string) option =
-    let produced =
-      match Hashtbl.find_opt chan_tokens chan with
-      | Some l -> List.rev !l
-      | None -> []
-    in
-    let k = try Hashtbl.find chan_consumed chan with Not_found -> 0 in
-    Hashtbl.replace chan_consumed chan (k + 1);
-    let ext = try Hashtbl.find external_count chan with Not_found -> 0 in
-    if k < ext then None else List.nth_opt produced (k - ext)
-  in
-  let ready_on core_name sources =
-    List.fold_left
-      (fun acc -> function
-        | None -> acc
-        | Some (t, producer) ->
-          let t =
-            if String.equal producer core_name then t
-            else Int64.add t (Int64.of_int platform.transfer_cost)
-          in
-          max acc t)
-      0L sources
-  in
-  let events = ref [] in
-  List.iter
-    (fun ((p : Kpn.process), firing) ->
-      let sources = List.map token_source p.Kpn.inputs in
-      let schedule_on (core : core) =
-        let free = try Hashtbl.find core_free core.cname with Not_found -> 0L in
-        let start = max (ready_on core.cname sources) free in
-        (start, Int64.add start (Int64.of_int (cost p core)))
-      in
-      let c0 = core_of pl p in
-      let core, remapped, (start, t_end) =
-        if String.equal c0.cname failure.dead_core then begin
-          let _, end0 = schedule_on c0 in
-          if Int64.compare end0 failure.at <= 0 then
-            (c0, false, schedule_on c0)
-          else
-            let c1 = core_of pl' p in
-            (c1, true, schedule_on c1)
-        end
-        else (c0, false, schedule_on c0)
-      in
-      Hashtbl.replace core_free core.cname t_end;
-      List.iter
-        (fun chan ->
-          let l =
-            match Hashtbl.find_opt chan_tokens chan with
-            | Some l -> l
-            | None ->
-              let l = ref [] in
-              Hashtbl.replace chan_tokens chan l;
-              l
-          in
-          l := (t_end, core.cname) :: !l)
-        p.Kpn.outputs;
-      events :=
-        {
-          se_proc = p.Kpn.pname;
-          se_firing = firing;
-          se_core = core.cname;
-          se_start = start;
-          se_end = t_end;
-          se_remapped = remapped;
-          se_migrated = false;
-        }
-        :: !events)
-    tr;
-  List.rev !events
+  list_schedule platform cost
+    (recovering ?ledger platform cost pl ~failure ~overhead:None net)
+    net
 
 (** Makespan under an accelerator failure (see {!schedule_with_failure}). *)
 let makespan_with_failure ?ledger (platform : platform) (cost : cost_model)
@@ -418,147 +433,10 @@ let default_migration = { checkpoint_cost = 64; restore_cost = 256 }
 let schedule_with_migration ?ledger (platform : platform) (cost : cost_model)
     (pl : placement) ~(failure : failure)
     ?(migration = default_migration) (net : Kpn.t) : sched_event list =
-  let ps = net.Kpn.processes in
-  let pl' = remap ?ledger platform cost pl ~dead:failure.dead_core ps in
-  let external_count = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name q -> Hashtbl.replace external_count name (Queue.length q))
-    net.Kpn.channels;
-  let tr = Kpn.trace net in
-  let core_free = Hashtbl.create 8 in
-  List.iter (fun c -> Hashtbl.replace core_free c.cname 0L) platform.cores;
-  let chan_tokens : (string, (int64 * string) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let chan_consumed = Hashtbl.create 16 in
-  let token_source chan : (int64 * string) option =
-    let produced =
-      match Hashtbl.find_opt chan_tokens chan with
-      | Some l -> List.rev !l
-      | None -> []
-    in
-    let k = try Hashtbl.find chan_consumed chan with Not_found -> 0 in
-    Hashtbl.replace chan_consumed chan (k + 1);
-    let ext = try Hashtbl.find external_count chan with Not_found -> 0 in
-    if k < ext then None else List.nth_opt produced (k - ext)
-  in
-  let ready_on core_name sources =
-    List.fold_left
-      (fun acc -> function
-        | None -> acc
-        | Some (t, producer) ->
-          let t =
-            if String.equal producer core_name then t
-            else Int64.add t (Int64.of_int platform.transfer_cost)
-          in
-          max acc t)
-      0L sources
-  in
-  let events = ref [] in
-  let emit e = events := e :: !events in
-  let produce_outputs (p : Kpn.process) t_end core_name =
-    List.iter
-      (fun chan ->
-        let l =
-          match Hashtbl.find_opt chan_tokens chan with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.replace chan_tokens chan l;
-            l
-        in
-        l := (t_end, core_name) :: !l)
-      p.Kpn.outputs
-  in
-  List.iter
-    (fun ((p : Kpn.process), firing) ->
-      let sources = List.map token_source p.Kpn.inputs in
-      let start_on (core : core) =
-        let free = try Hashtbl.find core_free core.cname with Not_found -> 0L in
-        max (ready_on core.cname sources) free
-      in
-      let run_on (core : core) ~remapped =
-        let start = start_on core in
-        let t_end = Int64.add start (Int64.of_int (cost p core)) in
-        Hashtbl.replace core_free core.cname t_end;
-        produce_outputs p t_end core.cname;
-        emit
-          {
-            se_proc = p.Kpn.pname;
-            se_firing = firing;
-            se_core = core.cname;
-            se_start = start;
-            se_end = t_end;
-            se_remapped = remapped;
-            se_migrated = false;
-          }
-      in
-      let c0 = core_of pl p in
-      if not (String.equal c0.cname failure.dead_core) then run_on c0 ~remapped:false
-      else
-        let start0 = start_on c0 in
-        let cost0 = cost p c0 in
-        let end0 = Int64.add start0 (Int64.of_int cost0) in
-        if Int64.compare end0 failure.at <= 0 then run_on c0 ~remapped:false
-        else if Int64.compare start0 failure.at >= 0 then
-          (* never started on the dying core: plain re-JIT + rerun *)
-          run_on (core_of pl' p) ~remapped:true
-        else begin
-          (* caught mid-execution: checkpoint at the kill point, resume
-             the remainder on the survivor *)
-          let c1 = core_of pl' p in
-          let done0 = Int64.to_int (Int64.sub failure.at start0) in
-          let cost1 = cost p c1 in
-          (* remaining work, rescaled to the survivor's speed for this
-             kernel (ceiling so a nonzero remainder costs >= 1) *)
-          let rem1 =
-            if cost0 <= 0 then 0
-            else ((cost0 - done0) * cost1 + cost0 - 1) / cost0
-          in
-          emit
-            {
-              se_proc = p.Kpn.pname;
-              se_firing = firing;
-              se_core = c0.cname;
-              se_start = start0;
-              se_end = failure.at;
-              se_remapped = false;
-              se_migrated = true;
-            };
-          (* the dying core was occupied right up to the failure; later
-             firings must not be list-scheduled onto it in the past *)
-          Hashtbl.replace core_free c0.cname failure.at;
-          let ready1 =
-            Int64.add failure.at
-              (Int64.of_int (migration.checkpoint_cost + migration.restore_cost))
-          in
-          let free1 =
-            try Hashtbl.find core_free c1.cname with Not_found -> 0L
-          in
-          let start1 = max ready1 free1 in
-          let end1 = Int64.add start1 (Int64.of_int rem1) in
-          Hashtbl.replace core_free c1.cname end1;
-          produce_outputs p end1 c1.cname;
-          emit
-            {
-              se_proc = p.Kpn.pname;
-              se_firing = firing;
-              se_core = c1.cname;
-              se_start = start1;
-              se_end = end1;
-              se_remapped = true;
-              se_migrated = true;
-            };
-          Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Migrate
-            ~subject:p.Kpn.pname
-            ~detail:
-              (Printf.sprintf
-                 "firing #%d checkpointed on %s at cycle %Ld, resumed on %s \
-                  at cycle %Ld"
-                 firing c0.cname failure.at c1.cname start1)
-        end)
-    tr;
-  List.rev !events
+  let overhead = Some (migration.checkpoint_cost + migration.restore_cost) in
+  list_schedule ?ledger platform cost
+    (recovering ?ledger platform cost pl ~failure ~overhead net)
+    net
 
 (** Makespan under an accelerator failure with live migration (see
     {!schedule_with_migration}). *)

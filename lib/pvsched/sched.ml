@@ -109,18 +109,8 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   let cores = Array.of_list platform.Mapper.cores in
   let ncores = Array.length cores in
   if ncores = 0 then invalid_arg "Sched.execute: empty platform";
-  let core_idx name =
-    let rec go i =
-      if i >= ncores then 0
-      else if String.equal cores.(i).Mapper.cname name then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let home = Array.make n 0 in
-  Array.iteri
-    (fun i p -> home.(i) <- core_idx (Mapper.core_of placement p).Mapper.cname)
-    procs;
+  let core_of = Mapper.core_of placement and slot = Mapper.core_slot cores in
+  let home = Array.map (fun p -> slot (core_of p).Mapper.cname) procs in
   (* single consumer / single producer maps (generated nets guarantee
      uniqueness; on hand-built nets the first claimant wins) *)
   let consumer_of : (string, int) Hashtbl.t = Hashtbl.create 64 in
@@ -158,24 +148,31 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
       Hashtbl.replace history name r;
       r
   in
+  (* what [ready] checks, per process: each distinct input channel with
+     the tokens one firing pops from it, and each bounded (consumed)
+     output channel with the net tokens one firing adds to it — tokens
+     it pops from the same channel (self-loop) free room before the push
+     lands; sink channels are unbounded *)
   let count_in l c = List.fold_left (fun k c' -> if String.equal c c' then k + 1 else k) 0 l in
+  let needs =
+    Array.map
+      (fun p ->
+        let ins, outs = (p.Kpn.inputs, p.Kpn.outputs) in
+        ( List.map
+            (fun c -> (Kpn.channel net c, count_in ins c))
+            (List.sort_uniq compare ins),
+          List.filter_map
+            (fun c ->
+              if Hashtbl.mem consumer_of c then
+                Some (Kpn.channel net c, count_in outs c - count_in ins c)
+              else None)
+            (List.sort_uniq compare outs) ))
+      procs
+  in
   let ready i =
-    let p = procs.(i) in
-    List.for_all
-      (fun c -> Queue.length (Kpn.channel net c) >= count_in p.Kpn.inputs c)
-      (List.sort_uniq compare p.Kpn.inputs)
-    && List.for_all
-         (fun c ->
-           match Hashtbl.find_opt consumer_of c with
-           | None -> true (* sink: unbounded *)
-           | Some _ ->
-             (* tokens this firing pops from [c] (self-loop) free room
-                before the push lands *)
-             Queue.length (Kpn.channel net c)
-             - count_in p.Kpn.inputs c
-             + count_in p.Kpn.outputs c
-             <= capacity)
-         (List.sort_uniq compare p.Kpn.outputs)
+    let ins, outs = needs.(i) in
+    List.for_all (fun (q, k) -> Queue.length q >= k) ins
+    && List.for_all (fun (q, d) -> Queue.length q + d <= capacity) outs
   in
   (* ready bookkeeping: [is_ready] mirrors [ready]; the per-policy
      containers use lazy deletion guarded by [queued] *)
@@ -183,13 +180,19 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   let queued = Array.make n false in
   let n_ready = ref 0 in
   let fifo_q : int Queue.t = Queue.create () in
+  (* heaviest first, ties by lowest process index *)
+  let prio_h =
+    Heap.create (fun i j ->
+        let wi = procs.(i).Kpn.work and wj = procs.(j).Kpn.work in
+        wi > wj || (wi = wj && i < j))
+  in
   let core_q : int Queue.t array = Array.init ncores (fun _ -> Queue.create ()) in
   let enqueue i =
     if not queued.(i) then begin
       queued.(i) <- true;
       match policy with
       | Fifo -> Queue.add i fifo_q
-      | Priority -> () (* scanned, not queued *)
+      | Priority -> Heap.push prio_h i
       | Work_stealing -> Queue.add i core_q.(home.(i))
     end
   in
@@ -217,26 +220,20 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   let produced = ref 0 in
   let events = ref [] in
   let makespan = ref 0L in
-  (* pop a valid (still-ready) entry off [q]; stale entries are dropped *)
-  let rec pop_valid q =
-    match Queue.take_opt q with
+  (* take a valid (still-ready) entry with [take]; stale entries are
+     dropped *)
+  let rec pop_valid take =
+    match take () with
     | None -> None
     | Some i ->
       queued.(i) <- false;
-      if is_ready.(i) then Some i else pop_valid q
+      if is_ready.(i) then Some i else pop_valid take
   in
-  let pick_fifo () = pop_valid fifo_q in
-  let pick_priority () =
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      if is_ready.(i) then
-        if !best < 0 || procs.(i).Kpn.work > procs.(!best).Kpn.work then best := i
-    done;
-    if !best < 0 then None else Some !best
-  in
+  let pick_fifo () = pop_valid (fun () -> Queue.take_opt fifo_q) in
+  let pick_priority () = pop_valid (fun () -> Heap.pop_opt prio_h) in
   (* thief = idle core: try its own queue, then steal from the longest *)
   let pick_steal thief =
-    match pop_valid core_q.(thief) with
+    match pop_valid (fun () -> Queue.take_opt core_q.(thief)) with
     | Some i -> Some (i, false)
     | None ->
       let victim = ref (-1) in
@@ -250,7 +247,7 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
       done;
       if !victim < 0 then None
       else
-        match pop_valid core_q.(!victim) with
+        match pop_valid (fun () -> Queue.take_opt core_q.(!victim)) with
         | Some i -> Some (i, true)
         | None -> None
   in

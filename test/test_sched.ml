@@ -402,6 +402,181 @@ let test_mapper_balances_two_accelerators () =
     (c1 <> "host" && c2 <> "host");
   check bool_t "spread across both" true (c1 <> c2)
 
+let test_placement_off_platform () =
+  (* a placement naming a core the platform does not have is rejected,
+     not silently run on core 0 or on a phantom core *)
+  let host, _, plat = platform () in
+  let ps = offload_processes () in
+  let ghost = { host with Pvsched.Mapper.cname = "ghost" } in
+  let pl = Pvsched.Mapper.place_all_on ghost ps in
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted an off-platform core" what
+  in
+  rejects "Sched.execute" (fun () ->
+      ignore (Pvsched.Sched.execute ~platform:plat ~placement:pl (fresh_net 2)));
+  rejects "Mapper.schedule" (fun () ->
+      ignore (Pvsched.Mapper.schedule plat cost pl (fresh_net 2)));
+  let failure = { Pvsched.Mapper.dead_core = "accel"; at = 0L } in
+  rejects "Mapper.schedule_with_failure" (fun () ->
+      ignore
+        (Pvsched.Mapper.schedule_with_failure plat cost pl ~failure (fresh_net 2)));
+  rejects "Mapper.schedule_with_migration" (fun () ->
+      ignore
+        (Pvsched.Mapper.schedule_with_migration plat cost pl ~failure
+           (fresh_net 2)))
+
+(* ---------------- equivalence at scale ---------------- *)
+
+module Kc = Pvcheck.Kpncheck
+
+(* a seeded 300-process generated net; the firing functions are trivial,
+   since schedules depend only on the net's structure *)
+let eq_net =
+  Kc.generate ~fn_pool:[ ("f", 1) ]
+    {
+      Kc.cprocs = 300;
+      ctokens = 4;
+      cfanin = 3;
+      cfanout = 35;
+      cfeedback = 10;
+      ccapacity = 2;
+      cnet_seed = 7;
+    }
+
+let eq_procs =
+  List.map
+    (fun (nd : Kc.node) ->
+      {
+        Pvsched.Kpn.pname = nd.Kc.nname;
+        inputs = nd.Kc.nins;
+        outputs = nd.Kc.nouts;
+        fire = (fun _ -> List.map (fun _ -> tok 0) nd.Kc.nouts);
+        annots = Pvir.Annot.empty;
+        work = nd.Kc.nwork;
+      })
+    eq_net.Kc.nodes
+
+let fresh_eq () =
+  let t = Pvsched.Kpn.create eq_procs in
+  List.iter
+    (fun c ->
+      if not (Hashtbl.mem t.Pvsched.Kpn.channels c) then
+        Hashtbl.replace t.Pvsched.Kpn.channels c (Queue.create ());
+      for i = 1 to eq_net.Kc.ntokens do
+        Pvsched.Kpn.push t c (tok i)
+      done)
+    eq_net.Kc.sources;
+  List.iter
+    (fun (c, k) ->
+      for j = 1 to k do
+        Pvsched.Kpn.push t c (tok j)
+      done)
+    eq_net.Kc.feedback;
+  t
+
+(* the naive firing loop: before every firing, scan the ordered process
+   list for the first enabled process *)
+let reference_trace ~order t =
+  let counts = Hashtbl.create 8 in
+  let tr = ref [] in
+  let continue_ = ref true in
+  while !continue_ do
+    match List.find_opt (Pvsched.Kpn.enabled t) (order t.Pvsched.Kpn.processes) with
+    | Some p ->
+      let k = try Hashtbl.find counts p.Pvsched.Kpn.pname with Not_found -> 0 in
+      Hashtbl.replace counts p.Pvsched.Kpn.pname (k + 1);
+      tr := (p.Pvsched.Kpn.pname, k) :: !tr;
+      Pvsched.Kpn.fire_once t p
+    | None -> continue_ := false
+  done;
+  List.rev !tr
+
+let test_trace_matches_reference () =
+  let rotate ps = List.filteri (fun i _ -> i >= 97) ps @ List.filteri (fun i _ -> i < 97) ps in
+  List.iter
+    (fun (what, order) ->
+      let expected = reference_trace ~order (fresh_eq ()) in
+      let got =
+        List.map
+          (fun ((p : Pvsched.Kpn.process), k) -> (p.Pvsched.Kpn.pname, k))
+          (Pvsched.Kpn.trace ~order (fresh_eq ()))
+      in
+      check int_t (what ^ ": every process fires ntokens times") 1200
+        (List.length got);
+      check bool_t (what ^ ": same firing order") true (got = expected);
+      check int_t (what ^ ": run agrees") 1200 (Pvsched.Kpn.run ~order (fresh_eq ())))
+    [ ("identity", Fun.id); ("reverse", List.rev); ("rotated", rotate) ]
+
+let eq_platform =
+  {
+    Pvsched.Mapper.cores =
+      List.init 4 (fun i ->
+          { Pvsched.Mapper.cname = Printf.sprintf "core%d" i; machine = Pvmach.Machine.ppcish });
+    transfer_cost = 3;
+  }
+
+(* odd cores run everything at half speed *)
+let eq_cost (p : Pvsched.Kpn.process) (c : Pvsched.Mapper.core) =
+  max 1 p.Pvsched.Kpn.work
+  * if c.Pvsched.Mapper.cname = "core1" || c.Pvsched.Mapper.cname = "core3" then 2 else 1
+
+let events_digest evs =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (e : Pvsched.Mapper.sched_event) ->
+      Printf.bprintf b "%s#%d@%s:%Ld-%Ld:%b:%b;" e.Pvsched.Mapper.se_proc
+        e.Pvsched.Mapper.se_firing e.Pvsched.Mapper.se_core e.Pvsched.Mapper.se_start
+        e.Pvsched.Mapper.se_end e.Pvsched.Mapper.se_remapped e.Pvsched.Mapper.se_migrated)
+    evs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_schedules_pinned () =
+  (* digests of the schedules the three separate Mapper list schedulers
+     and the scan-based priority pick produced on this net *)
+  let pl = Pvsched.Mapper.place eq_platform eq_cost eq_procs in
+  check Alcotest.string "schedule" "7672d3990620d7dd1513da11bde9f3b5"
+    (events_digest (Pvsched.Mapper.schedule eq_platform eq_cost pl (fresh_eq ())));
+  List.iter
+    (fun (dead_core, at, with_failure, with_migration, splits) ->
+      let failure = { Pvsched.Mapper.dead_core; at } in
+      let what = Printf.sprintf "%s dies at %Ld" dead_core at in
+      check Alcotest.string (what ^ ": rerun") with_failure
+        (events_digest
+           (Pvsched.Mapper.schedule_with_failure eq_platform eq_cost pl ~failure
+              (fresh_eq ())));
+      let evs =
+        Pvsched.Mapper.schedule_with_migration eq_platform eq_cost pl ~failure
+          (fresh_eq ())
+      in
+      check Alcotest.string (what ^ ": migrated") with_migration (events_digest evs);
+      check int_t (what ^ ": split spans") splits
+        (List.length (List.filter (fun e -> e.Pvsched.Mapper.se_migrated) evs)))
+    [
+      ("core1", 0L, "84611f2739fb962b32067ebe4ccc513a", "84611f2739fb962b32067ebe4ccc513a", 0);
+      ("core1", 97L, "dc3206e6d324c970c86da2e3ed9acec8", "dc3206e6d324c970c86da2e3ed9acec8", 0);
+      ("core1", 401L, "7097dba4efe0f5041b03354b08fdbaf8", "44852d7860f07472a9f9bef26f9b2d44", 2);
+      ("core1", 803L, "c0f0584a6d9aba37be8073179832afae", "c0f0584a6d9aba37be8073179832afae", 0);
+      ("core1", 1207L, "f01ed73a81720dd52059ab99ada79f7b", "67292f45ed77ab98c036fd51c314cc6d", 2);
+      ("core1", 1609L, "15f3c7405ca52ae4b50dffc65887b30f", "5d7de4963d48b91b52cdf49b3af1e9ec", 2);
+      ("core0", 2003L, "526db2cc174c15c5ca5efcc9628ee8ba", "526db2cc174c15c5ca5efcc9628ee8ba", 0);
+      ("core0", 3001L, "b9eacd7dc459bd1dc38642bc8d9f55bc", "eda59fa381fa5f33249d78d86432d18a", 2);
+    ];
+  List.iter
+    (fun (policy, digest) ->
+      let r =
+        Pvsched.Sched.execute ~policy ~capacity:2 ~platform:eq_platform ~cost:eq_cost
+          (fresh_eq ())
+      in
+      check Alcotest.string (Pvsched.Sched.policy_name policy) digest
+        (events_digest r.Pvsched.Sched.events))
+    [
+      (Pvsched.Sched.Fifo, "76cc5cfdf4915933d306973da6f6153f");
+      (Pvsched.Sched.Priority, "da690a3f547dabff7441d8b0bdeec5e3");
+      (Pvsched.Sched.Work_stealing, "dcc94aeb213b2bec6bba388068c14031");
+    ]
+
 let () =
   Alcotest.run "pvsched"
     [
@@ -433,5 +608,12 @@ let () =
           Alcotest.test_case "transfer cost" `Quick test_mapper_transfer_cost_matters;
           Alcotest.test_case "monotone" `Quick test_makespan_monotone_in_tokens;
           Alcotest.test_case "balances accelerators" `Quick test_mapper_balances_two_accelerators;
+          Alcotest.test_case "placement off platform" `Quick test_placement_off_platform;
+        ] );
+      ( "equivalence",
+        [
+          Alcotest.test_case "trace matches naive scan" `Quick
+            test_trace_matches_reference;
+          Alcotest.test_case "schedules pinned" `Quick test_schedules_pinned;
         ] );
     ]
