@@ -1447,6 +1447,7 @@ let all_experiments () =
   lto ();
   annot_faults ();
   timeline ();
+  profile_bench ();
   kpn_scale ();
   serve_bench ()
 

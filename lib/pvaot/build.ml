@@ -17,8 +17,10 @@
 (* Bumping this invalidates every cached artifact: it participates in the
    source digest alongside the compiler version.  6: plugins register
    through [Aotabi.register_src], carrying the generated-body digest the
-   loader verifies on every load (the cache staleness guard). *)
-let codegen_version = 6
+   loader verifies on every load (the cache staleness guard).  7: the
+   interpreter backend's fuel traps rewind the charge batch, so their
+   counters match the threaded engine's. *)
+let codegen_version = 7
 
 type toolchain = {
   native : bool;  (** true: ocamlopt -shared -> .cmxs; false: ocamlc -> .cmo *)

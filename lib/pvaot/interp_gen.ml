@@ -35,10 +35,12 @@
     additions plus one fuel check — before any operation that can raise
     or transfer control, and at every block end.  Because every
     observable effect (store, call, intrinsic, trap check) is a flush
-    point, results, output, globals and final counters are bit-identical
-    to the threaded engine; the only tolerated divergence is the counter
-    *values inside a fuel-exhaustion trap*, which the differential oracle
-    gates on separately.
+    point, results, output, globals and counters are bit-identical to the
+    threaded engine.  That includes fuel traps: the cold branch of a
+    flush that overruns the budget rewinds the batch and re-charges its
+    static per-instruction costs one at a time, so the trap leaves the
+    counters exactly where the threaded engine's per-instruction check
+    would.
 
     Generated code contains {e no safepoint polls}: neither the
     checkpoint threshold nor the sampling-profiler threshold is checked
@@ -48,9 +50,11 @@
     the runner in [pvaot.ml] — accounting-identical by construction, so
     snapshots and sampled streams still match every engine bit for bit.
 
-    Anything the generator cannot prove it can compile exactly raises
-    {!Unsupported}; the caller falls back to the threaded engine, so this
-    module never needs to be complete — only correct. *)
+    The input is a verified program, so register types, globals and
+    callees always resolve.  Anything the generator cannot prove it can
+    compile exactly raises {!Unsupported}; the caller falls back to the
+    threaded engine, so this module never needs to be complete — only
+    correct. *)
 
 module Types = Pvir.Types
 module Instr = Pvir.Instr
@@ -190,8 +194,8 @@ type st = {
   img : Pvvm.Image.t;
   mutable ind : string;  (** current indentation *)
   mutable assigned : IntSet.t;  (** regs provably assigned at this point *)
-  mutable pc : int;  (** pending cycles *)
-  mutable pi : int;  (** pending instruction count *)
+  mutable pending : int list;
+      (** per-instruction costs charged since the last flush, newest first *)
 }
 
 let line st fmt =
@@ -206,11 +210,7 @@ let reg_class st r =
   match Hashtbl.find_opt st.classes r with
   | Some c -> c
   | None ->
-    let ty =
-      try Func.reg_type st.fn r
-      with Invalid_argument m -> unsupported "%s" m
-    in
-    let c = cls_of ty in
+    let c = cls_of (Func.reg_type st.fn r) in
     Hashtbl.replace st.classes r c;
     c
 
@@ -254,19 +254,19 @@ let boxed st r =
 (* ------------------------------------------------------------------ *)
 (* Batched accounting                                                  *)
 
-let add_charge st n =
-  st.pc <- st.pc + n;
-  st.pi <- st.pi + 1
+let add_charge st n = st.pending <- n :: st.pending
 
-(** Materialize pending charges: two additions and one fuel check.
+(** Materialize pending charges: two additions and one fuel check, whose
+    cold branch hands the batch's costs to [fuel_out_] (see {!header}).
     Must run before anything that can raise, call out or branch. *)
 let flush st =
-  if st.pi > 0 then begin
-    if st.pc > 0 then line st "ctx.A.cycles <- ctx.A.cycles + %d;" st.pc;
-    line st "ctx.A.instrs <- ctx.A.instrs + %d;" st.pi;
-    line st "if ctx.A.instrs > ctx.A.fuel then raise ctx.A.fuel_exn;";
-    st.pc <- 0;
-    st.pi <- 0
+  if st.pending <> [] then begin
+    let cycles = List.fold_left ( + ) 0 st.pending in
+    if cycles > 0 then line st "ctx.A.cycles <- ctx.A.cycles + %d;" cycles;
+    line st "ctx.A.instrs <- ctx.A.instrs + %d;" (List.length st.pending);
+    line st "if ctx.A.instrs > ctx.A.fuel then fuel_out_ ctx [| %s |];"
+      (String.concat "; " (List.rev_map string_of_int st.pending));
+    st.pending <- []
   end
 
 (* ------------------------------------------------------------------ *)
@@ -593,10 +593,7 @@ let emit_instr st (i : Instr.t) =
     mark_def st d
   | Instr.Gaddr (d, g) ->
     add_charge st (d_cost + 1);
-    let addr =
-      try Pvvm.Image.global_address st.img g
-      with Invalid_argument m -> unsupported "%s" m
-    in
+    let addr = Pvvm.Image.global_address st.img g in
     (match reg_class st d with
     | KWide -> emit_set st d (int64_lit (Int64.of_int addr))
     | _ -> unsupported "gaddr into non-i64 register r%d" d);
@@ -606,12 +603,7 @@ let emit_instr st (i : Instr.t) =
     if read_may_trap st [ a ] then flush st;
     emit_guard st a;
     let cls_a = reg_class st a in
-    let lanes =
-      Types.lanes
-        (try Func.reg_type st.fn a
-         with Invalid_argument m -> unsupported "%s" m)
-    in
-    add_charge st (d_cost + lanes);
+    add_charge st (d_cost + Types.lanes (Func.reg_type st.fn a));
     if
       (not (same_cls cls_a (reg_class st b)))
       || not (same_cls (reg_class st d) cls_a)
@@ -682,12 +674,9 @@ let emit_instr st (i : Instr.t) =
     match (cd, ca) with
     | KBox, KBox ->
       flush st;
-      let dst_ty =
-        try Func.reg_type st.fn d
-        with Invalid_argument m -> unsupported "%s" m
-      in
       emit_set st d
-        (Printf.sprintf "(Ev.conv %s %s %s)" (conv_ctor kind) (ty_lit dst_ty)
+        (Printf.sprintf "(Ev.conv %s %s %s)" (conv_ctor kind)
+           (ty_lit (Func.reg_type st.fn d))
            (rd st a));
       mark_def st d
     | KBox, _ | _, KBox -> unsupported "mixed scalar/vector conversion"
@@ -878,10 +867,7 @@ let emit_instr st (i : Instr.t) =
     (match d with Some d -> mark_def st d | None -> ())
   | Instr.Splat (d, a) -> (
     add_charge st (d_cost + 1);
-    let dst_ty =
-      try Func.reg_type st.fn d with Invalid_argument m -> unsupported "%s" m
-    in
-    match dst_ty with
+    match Func.reg_type st.fn d with
     | Types.Vector (_, n) ->
       if read_may_trap st [ a ] then flush st;
       emit_guard st a;
@@ -891,12 +877,7 @@ let emit_instr st (i : Instr.t) =
       emit_set st d
         (Printf.sprintf "(V.Vec (Array.make %d %s))" n (boxed st a));
       mark_def st d
-    | _ ->
-      (* still bind [d] so later (unreachable) reads stay well-formed *)
-      flush st;
-      emit_set st d
-        "(raise (ctx.A.trap \"splat destination is not a vector\"))";
-      mark_def st d)
+    | _ -> unsupported "splat destination r%d is not a vector" d)
   | Instr.Extract (d, a, lane) ->
     add_charge st (d_cost + 1);
     flush st;
@@ -1029,8 +1010,7 @@ let block_locals (fn : Func.t) (blocks : Func.block array)
 
 let emit_terminator st blocks label_index (term : Instr.term) =
   (* block dispatch costs one charge of [dispatch_cost] cycles *)
-  st.pc <- st.pc + st.dispatch;
-  st.pi <- st.pi + 1;
+  add_charge st st.dispatch;
   flush st;
   let target l =
     match label_index l with
@@ -1081,8 +1061,7 @@ let emit_function buf img fnindex ~dispatch_cost ~first idx (fn : Func.t) =
       img;
       ind = "";
       assigned = IntSet.empty;
-      pc = 0;
-      pi = 0;
+      pending = [];
     }
   in
   (* Collect every register that appears in reachable code, so that all
@@ -1209,8 +1188,7 @@ let emit_function buf img fnindex ~dispatch_cost ~first idx (fn : Func.t) =
           line st "%s b_%d () : V.t option =" kw bi;
           st.ind <- "      ";
           st.assigned <- inb;
-          st.pc <- 0;
-          st.pi <- 0;
+          st.pending <- [];
           List.iter (emit_instr st) b.Func.instrs;
           emit_terminator st blocks label_index b.Func.term;
           st.ind <- "    ")
@@ -1238,6 +1216,20 @@ let header =
       "module Ev = Pvir__Eval";
       "module A = Pvvm__Aotabi";
       "module M = Pvvm__Memory";
+      "";
+      "(* A flushed batch overran the fuel budget: undo it and re-charge its";
+      "   instructions one at a time, as the threaded engine does, so the";
+      "   trap leaves the same counters. *)";
+      "let fuel_out_ (ctx : A.ctx) (costs : int array) =";
+      "  ctx.A.instrs <- ctx.A.instrs - Array.length costs;";
+      "  ctx.A.cycles <- ctx.A.cycles - Array.fold_left ( + ) 0 costs;";
+      "  Array.iter";
+      "    (fun c ->";
+      "      ctx.A.cycles <- ctx.A.cycles + c;";
+      "      ctx.A.instrs <- ctx.A.instrs + 1;";
+      "      if ctx.A.instrs > ctx.A.fuel then raise ctx.A.fuel_exn)";
+      "    costs;";
+      "  raise ctx.A.fuel_exn";
       "";
     ]
 

@@ -202,10 +202,7 @@ let rec value_matches (ty : Pvir.Types.t) (v : Pvir.Value.t) =
 let args_match (fn : Pvir.Func.t) (args : Pvir.Value.t list) =
   List.length args = List.length fn.Pvir.Func.params
   && List.for_all2
-       (fun p v ->
-         match Pvir.Func.reg_type fn p with
-         | ty -> value_matches ty v
-         | exception Invalid_argument _ -> false)
+       (fun p v -> value_matches (Pvir.Func.reg_type fn p) v)
        fn.Pvir.Func.params args
 
 (* ------------------------------------------------------------------ *)

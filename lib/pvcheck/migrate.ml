@@ -14,9 +14,8 @@
       bytes} — safepoint state is engine-neutral;
     - restoring the snapshot into a fresh VM under the target engine and
       resuming yields the reference observation — result, output,
-      globals — and, except under fuel exhaustion (where block-batched
-      charging makes trap-time counters engine-specific, DESIGN.md
-      section 10), bit-identical cycle/instruction/call accounting.
+      globals — and bit-identical cycle/instruction/call accounting, fuel
+      exhaustion included.
 
     Any violation is reported as an {!Oracle.mismatch} whose path names
     the engine pair, e.g. [migrate-th->aot]. *)
@@ -61,10 +60,6 @@ let armed_run (prog : Prog.t) (engine : Pvvm.Interp.engine) ~at : armed =
   | Pvvm.Snapshot.Checkpointed s -> Snapped s
   | exception Pvvm.Interp.Trap m -> ran it (Oracle.Trapped m)
 
-let is_fuel_outcome = function
-  | Oracle.Trapped m -> String.equal m Pvvm.Interp.fuel_exhausted_msg
-  | Oracle.Finished _ -> false
-
 (** Check one explicit scenario against an already-taken reference run.
     Exposed so a harness can sweep kill points exhaustively; most
     callers want {!check}. *)
@@ -78,17 +73,16 @@ let check_scenario (prog : Prog.t) (reference : Oracle.interp_run)
   let ms = ref [] in
   let add what detail = ms := !ms @ [ { Oracle.path; what; detail } ] in
   let check_accounting tag cycles instrs calls =
-    if not (is_fuel_outcome reference.Oracle.iobs.Oracle.outcome) then
-      if
-        reference.Oracle.icycles <> cycles
-        || reference.Oracle.iinstrs <> instrs
-        || reference.Oracle.icalls <> calls
-      then
-        add "accounting"
-          (Printf.sprintf
-             "%s: reference %Ld cycles/%Ld instrs/%d calls vs %Ld/%Ld/%d" tag
-             reference.Oracle.icycles reference.Oracle.iinstrs
-             reference.Oracle.icalls cycles instrs calls)
+    if
+      reference.Oracle.icycles <> cycles
+      || reference.Oracle.iinstrs <> instrs
+      || reference.Oracle.icalls <> calls
+    then
+      add "accounting"
+        (Printf.sprintf
+           "%s: reference %Ld cycles/%Ld instrs/%d calls vs %Ld/%Ld/%d" tag
+           reference.Oracle.icycles reference.Oracle.iinstrs
+           reference.Oracle.icalls cycles instrs calls)
   in
   (match armed_run prog src ~at:k.R.kill_at with
   | Ran (obs, cycles, instrs, calls) ->

@@ -7,9 +7,10 @@
     invariants that must hold between host execution engines of the same
     virtual machine:
 
-    - the tree-walk and threaded interpreters must agree on cycles,
-      instructions and calls (the pre-decoded engine is a host-side
-      speedup, not a semantic change);
+    - the tree-walk, threaded and AOT interpreters must agree on cycles,
+      instructions and calls on every outcome, fuel traps included (the
+      pre-decoded and compiled engines are host-side speedups, not
+      semantic changes);
     - the tree-walk and threaded simulators must agree on cycles,
       instructions and spill traffic for the same compiled code;
     - a JIT report claiming zero spilled registers must come with zero
@@ -189,26 +190,16 @@ let check ?(paths = all_paths) (prog : Prog.t) : mismatch list =
           };
         ]
   end;
-  (* AOT-compiled interpreter: same observation, and bit-identical
-     accounting on every outcome except fuel exhaustion.  Block-batched
-     charging means the counter values observed *inside* a fuel trap may
-     differ from the per-instruction engines (the trap itself, its
-     message, and everything observable still match — see DESIGN.md
-     §10). *)
+  (* AOT-compiled interpreter: same observation and bit-identical
+     accounting on every outcome, fuel exhaustion included *)
   if want "interp-aot" then begin
     Pvaot.install ();
     let aot = run_interp prog Pvvm.Interp.Aot in
     add (compare_obs ~path:"interp-aot" reference.iobs aot.iobs);
-    let fuel_out =
-      match reference.iobs.outcome with
-      | Trapped m -> String.equal m Pvvm.Interp.fuel_exhausted_msg
-      | Finished _ -> false
-    in
     if
-      (not fuel_out)
-      && (reference.icycles <> aot.icycles
-         || reference.iinstrs <> aot.iinstrs
-         || reference.icalls <> aot.icalls)
+      reference.icycles <> aot.icycles
+      || reference.iinstrs <> aot.iinstrs
+      || reference.icalls <> aot.icalls
     then
       add
         [

@@ -1,10 +1,10 @@
 (** PVIR verifier.
 
     Verification runs offline after compilation and online at load time — a
-    device never JITs an ill-typed program.  Checks: every used register has
-    a declared type and correct operand types, branch targets exist, calls
-    match visible signatures, the entry block exists and memory operands are
-    pointers. *)
+    device never JITs an ill-typed program.  Checks: every used register lies
+    in [\[0, next_reg)] and has a declared type and correct operand types,
+    branch targets exist, calls match visible signatures, the entry block
+    exists and memory operands are pointers. *)
 
 exception Error of string
 
@@ -168,10 +168,14 @@ let check_term fn labels (t : Instr.term) =
 (* Registers must be checked for *declaration* before any type rule runs:
    [Func.reg_type] raises [Invalid_argument] on an unknown register, and a
    decoded (untrusted) program can reference any register id it likes.
-   This pre-check turns that into a typed [Error] at the boundary. *)
+   This pre-check turns that into a typed [Error] at the boundary.  The
+   range rule is what the engines size register files by: [next_reg]
+   slots, indexed without a bounds check. *)
 let check_regs_declared (fn : Func.t) =
   List.iter
     (fun r ->
+      if r < 0 || r >= fn.next_reg then
+        fail "register r%d outside [0, %d) in %s" r fn.next_reg fn.name;
       if not (Hashtbl.mem fn.reg_ty r) then
         fail "undeclared register r%d in %s" r fn.name)
     (Func.all_regs fn)

@@ -21,18 +21,22 @@ let commutative (op : Pvir.Instr.binop) =
 
 let run ?account (mf : Mir.func) : int =
   Pvir.Account.charge_opt account ~pass:"jit.immfold" (Mir.size mf);
-  (* single-def Mli-of-scalar registers *)
+  (* single-def Mli-of-scalar registers; a parameter's incoming value is a
+     definition too, so a parameter with one [Mli] redefinition never
+     folds *)
   let def_count = Hashtbl.create 32 in
   let const_of = Hashtbl.create 16 in
+  let count_def = function
+    | Mir.V v ->
+      Hashtbl.replace def_count v
+        (1 + try Hashtbl.find def_count v with Not_found -> 0)
+    | Mir.P _ -> ()
+  in
+  List.iter count_def mf.Mir.mparams;
   List.iter
     (fun (b : Mir.block) ->
       List.iter
-        (fun (i : Mir.inst) ->
-          match i.Mir.dst with
-          | Some (Mir.V v) ->
-            Hashtbl.replace def_count v
-              (1 + try Hashtbl.find def_count v with Not_found -> 0)
-          | _ -> ())
+        (fun (i : Mir.inst) -> Option.iter count_def i.Mir.dst)
         b.Mir.insts)
     mf.Mir.mblocks;
   List.iter

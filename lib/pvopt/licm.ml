@@ -9,14 +9,16 @@
 
 open Pvir
 
-let hoist_loop (fn : Func.t) (lp : Loops.loop) : bool =
+(** Hoist [lp]'s invariants into a fresh preheader; its label, if one was
+    created. *)
+let hoist_loop (fn : Func.t) (lp : Loops.loop) : int option =
   let cfg = Cfg.build fn in
   let lv = Cfg.liveness cfg in
   (* build/locate the preheader: a fresh block taking every entry edge *)
   let outside_preds =
     List.filter (fun p -> not (Loops.in_loop lp p)) (Cfg.preds cfg lp.header)
   in
-  if outside_preds = [] then false
+  if outside_preds = [] then None
   else begin
     let defs = Loops.defs_in fn lp in
     (* count defs per register inside the loop *)
@@ -59,7 +61,7 @@ let hoist_loop (fn : Func.t) (lp : Loops.loop) : bool =
           b.instrs)
       loop_blocks_rpo;
     let hoistable = List.rev !hoistable in
-    if hoistable = [] then false
+    if hoistable = [] then None
     else begin
       (* create the preheader and retarget outside edges *)
       let pre = Func.add_block fn in
@@ -80,7 +82,7 @@ let hoist_loop (fn : Func.t) (lp : Loops.loop) : bool =
           b.instrs <-
             List.filter (fun i -> not (List.memq i hoistable)) b.instrs)
         lp.blocks;
-      true
+      Some pre.label
     end
   end
 
@@ -94,4 +96,22 @@ let run ?account (fn : Func.t) : bool =
       (fun (a : Loops.loop) b -> compare b.depth a.depth)
       loops.Loops.loops
   in
-  List.fold_left (fun acc lp -> hoist_loop fn lp || acc) false sorted
+  (* A preheader made for an inner loop lies inside every loop enclosing
+     it.  Those loops must see its definitions, or they would take the
+     values hoisted into it for invariants and hoist their uses above
+     them. *)
+  let rec go changed = function
+    | [] -> changed
+    | (lp : Loops.loop) :: rest -> (
+      match hoist_loop fn lp with
+      | None -> go changed rest
+      | Some pre ->
+        go true
+          (List.map
+             (fun (outer : Loops.loop) ->
+               if Loops.in_loop outer lp.header then
+                 { outer with blocks = pre :: outer.blocks }
+               else outer)
+             rest))
+  in
+  go false sorted

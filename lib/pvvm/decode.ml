@@ -9,11 +9,13 @@
     resolved — the direct-threaded dispatch loop in {!Interp} then runs
     over arrays only.
 
-    Decoding never changes observable semantics: instructions whose static
-    information is incomplete (an unknown register type, an unknown
-    global) decode to [*Dyn] forms that replay the tree-walking engine's
-    exact behaviour — including which exception is raised, and when — at
-    execution time. *)
+    Decoding is total on verified programs: {!Image.load} runs
+    [Pvir.Verify] first, so every register is declared and lies in
+    [\[0, next_reg)], every global and callee exists, and every splat
+    destination is a vector.  Anything else raises [Invalid_argument] at
+    decode time; nothing is deferred to execution.  The register-range
+    check is what lets the executor use unchecked array access on the
+    register file. *)
 
 type dinstr =
   | DConst of { cost : int; d : int; v : Pvir.Value.t }
@@ -21,9 +23,6 @@ type dinstr =
   | DGaddr of { cost : int; d : int; v : Pvir.Value.t }
       (** the resolved address as a ready-made value (addresses are
           immutable i64s, so sharing one is unobservable) *)
-  | DGaddrDyn of { cost : int; d : int; g : string }
-      (** global unknown at decode time: resolve (and fail) like the
-          tree-walker *)
   | DBinop of {
       cost : int;  (** dispatch + lanes of the (static) operand type *)
       f : Pvir.Value.t -> Pvir.Value.t -> Pvir.Value.t;
@@ -33,8 +32,6 @@ type dinstr =
       a : int;
       b : int;
     }
-  | DBinopDyn of { op : Pvir.Instr.binop; d : int; a : int; b : int }
-      (** operand type unknown at decode time: cost from the runtime value *)
   | DUnop of { cost : int; op : Pvir.Instr.unop; d : int; a : int }
   | DConv of {
       cost : int;
@@ -42,7 +39,6 @@ type dinstr =
       d : int;
       a : int;
     }
-  | DConvDyn of { cost : int; kind : Pvir.Instr.conv; d : int; a : int }
   | DCmp of {
       cost : int;
       f : Pvir.Value.t -> Pvir.Value.t -> Pvir.Value.t;
@@ -70,16 +66,8 @@ type dinstr =
       args : int array;
     }
   | DSplat of { cost : int; d : int; a : int; n : int }
-  | DSplatDyn of { cost : int; d : int; a : int }
   | DExtract of { cost : int; d : int; a : int; lane : int }
   | DReduce of { cost : int; op : Pvir.Instr.redop; d : int; a : int }
-  | DSeed of { inst : Pvir.Instr.t }
-      (** instruction mentioning a register outside [0, next_reg):
-          replayed through the tree-walking semantics at execution time so
-          the out-of-bounds access raises the seed's exact
-          [Invalid_argument].  Every other variant's registers are
-          decode-validated, which is what lets the executor use unchecked
-          array access on the register file. *)
 
 type dterm =
   | DBr of int  (** block array index *)
@@ -103,40 +91,29 @@ type dfunc = {
 
 let decode_instr ~dispatch_cost ~img ~(fn : Pvir.Func.t) (i : Pvir.Instr.t) :
     dinstr =
-  let reg_ty r = Hashtbl.find_opt fn.Pvir.Func.reg_ty r in
+  let reg_ty = Pvir.Func.reg_type fn in
   let base = dispatch_cost + 1 in
   match i with
   | Pvir.Instr.Const (d, v) -> DConst { cost = base; d; v }
   | Pvir.Instr.Mov (d, a) -> DMov { cost = base; d; a }
-  | Pvir.Instr.Gaddr (d, g) -> (
-    match Hashtbl.find_opt img.Image.global_addr g with
-    | Some addr ->
-      DGaddr { cost = base; d; v = Pvir.Value.i64 (Int64.of_int addr) }
-    | None -> DGaddrDyn { cost = base; d; g })
-  | Pvir.Instr.Binop (op, d, a, b) -> (
-    match reg_ty a with
-    | Some ty ->
-      DBinop
-        {
-          cost = dispatch_cost + Pvir.Types.lanes ty;
-          f = Fastop.binop op ty;
-          d;
-          a;
-          b;
-        }
-    | None -> DBinopDyn { op; d; a; b })
+  | Pvir.Instr.Gaddr (d, g) ->
+    let addr = Image.global_address img g in
+    DGaddr { cost = base; d; v = Pvir.Value.i64 (Int64.of_int addr) }
+  | Pvir.Instr.Binop (op, d, a, b) ->
+    let ty = reg_ty a in
+    DBinop
+      {
+        cost = dispatch_cost + Pvir.Types.lanes ty;
+        f = Fastop.binop op ty;
+        d;
+        a;
+        b;
+      }
   | Pvir.Instr.Unop (op, d, a) -> DUnop { cost = base; op; d; a }
-  | Pvir.Instr.Conv (kind, d, a) -> (
-    match reg_ty d with
-    | Some dst_ty -> DConv { cost = base; f = Fastop.conv kind dst_ty; d; a }
-    | None -> DConvDyn { cost = base; kind; d; a })
+  | Pvir.Instr.Conv (kind, d, a) ->
+    DConv { cost = base; f = Fastop.conv kind (reg_ty d); d; a }
   | Pvir.Instr.Cmp (op, d, a, b) ->
-    let f =
-      match reg_ty a with
-      | Some ty -> Fastop.cmp op ty
-      | None -> Pvir.Eval.cmp op
-    in
-    DCmp { cost = base; f; d; a; b }
+    DCmp { cost = base; f = Fastop.cmp op (reg_ty a); d; a; b }
   | Pvir.Instr.Select (d, c, a, b) -> DSelect { cost = base; d; c; a; b }
   | Pvir.Instr.Load (ty, d, base_r, off) ->
     DLoad
@@ -162,15 +139,19 @@ let decode_instr ~dispatch_cost ~img ~(fn : Pvir.Func.t) (i : Pvir.Instr.t) :
       }
   | Pvir.Instr.Splat (d, a) -> (
     match reg_ty d with
-    | Some (Pvir.Types.Vector (_, n)) -> DSplat { cost = base; d; a; n }
-    | Some _ | None -> DSplatDyn { cost = base; d; a })
+    | Pvir.Types.Vector (_, n) -> DSplat { cost = base; d; a; n }
+    | _ ->
+      invalid_arg
+        (Printf.sprintf "Decode: splat destination r%d is not a vector in %s" d
+           fn.Pvir.Func.name))
   | Pvir.Instr.Extract (d, a, lane) -> DExtract { cost = base; d; a; lane }
   | Pvir.Instr.Reduce (op, d, a) -> DReduce { cost = base; op; d; a }
 
 (** [func ~dispatch_cost ~img fn] pre-decodes [fn] for execution with the
-    given dispatch cost against [img].  Raises the same [Invalid_argument]
-    as [Pvir.Func.find_block] if a terminator targets a missing block
-    (the verifier rejects such programs before they reach the VM). *)
+    given dispatch cost against [img].  Raises [Invalid_argument] on
+    anything the verifier rejects: a register outside [\[0, next_reg)] or
+    without a type, an unknown global, a terminator targeting a missing
+    block. *)
 let func ~dispatch_cost ~(img : Image.t) (fn : Pvir.Func.t) : dfunc =
   let blocks = Array.of_list fn.Pvir.Func.blocks in
   let idx_of = Hashtbl.create 16 in
@@ -186,22 +167,25 @@ let func ~dispatch_cost ~(img : Image.t) (fn : Pvir.Func.t) : dfunc =
       invalid_arg
         (Printf.sprintf "Func.find_block: no block %d in %s" l fn.Pvir.Func.name)
   in
-  let in_range i =
-    let n = fn.Pvir.Func.next_reg in
-    let ok r = r >= 0 && r < n in
-    (match Pvir.Instr.def i with Some d -> ok d | None -> true)
-    && List.for_all ok (Pvir.Instr.uses i)
+  (* every register the executor touches — parameters, instruction
+     operands, terminator operands — indexes the register file unchecked *)
+  let check r =
+    if r < 0 || r >= fn.Pvir.Func.next_reg then
+      invalid_arg
+        (Printf.sprintf "Decode: register r%d outside [0, %d) in %s" r
+           fn.Pvir.Func.next_reg fn.Pvir.Func.name)
   in
+  List.iter check fn.Pvir.Func.params;
   let decode_block (b : Pvir.Func.block) =
+    let decode i =
+      Option.iter check (Pvir.Instr.def i);
+      List.iter check (Pvir.Instr.uses i);
+      decode_instr ~dispatch_cost ~img ~fn i
+    in
+    List.iter check (Pvir.Instr.term_uses b.Pvir.Func.term);
     {
       dlabel = b.Pvir.Func.label;
-      dinstrs =
-        Array.of_list
-          (List.map
-             (fun i ->
-               if in_range i then decode_instr ~dispatch_cost ~img ~fn i
-               else DSeed { inst = i })
-             b.Pvir.Func.instrs);
+      dinstrs = Array.of_list (List.map decode b.Pvir.Func.instrs);
       dterm =
         (match b.Pvir.Func.term with
         | Pvir.Instr.Br l -> DBr (target l)

@@ -19,7 +19,11 @@
       precomputed, types resolved) and dispatches over it with an
       index-driven loop and unboxed cycle counters.  Decoded functions
       are cached per function identity, so repeated [run]/[call]
-      invocations decode nothing.
+      invocations decode nothing.  Decoding is total on the verified
+      programs an {!Image} holds, so the loop has one case per
+      instruction and no run-time replay of the tree-walker; a function
+      the verifier would reject raises [Invalid_argument] when it is
+      first decoded.
 
     Cost model: each interpreted instruction costs [dispatch_cost] cycles
     of decode/dispatch plus the work of the operation itself (vector
@@ -457,22 +461,13 @@ let dtrap_uninit frame r =
           frame.dfn.Pvir.Func.name))
 
 (* unchecked register access: sound because {!Decode} validates every
-   register of the non-[DSeed] instruction variants against
-   [0, next_reg) — the register file's exact length *)
+   register of a function — parameters, instruction and terminator
+   operands — against [0, next_reg), the register file's exact length *)
 let dreg frame r =
   let v = Array.unsafe_get frame.dregs r in
   if v == uninit then dtrap_uninit frame r else v
 
 let dset frame r v = Array.unsafe_set frame.dregs r v
-
-(* checked variants for registers that are not decode-validated
-   (terminators, parameter lists, [DSeed] replay): an out-of-range index
-   raises the seed's [Invalid_argument] *)
-let dreg_checked frame r =
-  let v = frame.dregs.(r) in
-  if v == uninit then dtrap_uninit frame r else v
-
-let dset_checked frame r v = frame.dregs.(r) <- v
 
 (* address operand: the common [Int] shape inline, [Value.to_int64]'s
    exact error otherwise *)
@@ -483,7 +478,7 @@ let daddr frame r =
 
 (* branch condition: [Value.to_bool] with the [Int] shape inline *)
 let dbool frame c =
-  match dreg_checked frame c with
+  match dreg frame c with
   | Pvir.Value.Int (_, x) -> x <> 0L
   | v -> Pvir.Value.to_bool v
 
@@ -511,7 +506,7 @@ let rec dcall t ec (df : Decode.dfunc) (args : Pvir.Value.t list) :
       dsp = t.sp;
     }
   in
-  List.iter2 (fun r v -> dset_checked frame r v) df.Decode.dparams args;
+  List.iter2 (fun r v -> dset frame r v) df.Decode.dparams args;
   if Array.length df.Decode.dblocks = 0 then
     invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" df.Decode.dname);
   (* shadow stack for the sampler, mirroring [tw_call] *)
@@ -557,7 +552,7 @@ and dexec_block_from t ec (df : Decode.dfunc) frame idx ~ip :
   | Decode.DCbr (c, j1, j2) ->
     dexec_block t ec df frame (if dbool frame c then j1 else j2)
   | Decode.DRet None -> None
-  | Decode.DRet (Some r) -> Some (dreg_checked frame r)
+  | Decode.DRet (Some r) -> Some (dreg frame r)
 
 and dexec_instr t ec frame (i : Decode.dinstr) : unit =
   match i with
@@ -570,9 +565,6 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
   | Decode.DGaddr { cost; d; v } ->
     dcharge ec cost;
     dset frame d v
-  | Decode.DGaddrDyn { cost; d; g } ->
-    dcharge ec cost;
-    dset frame d (Pvir.Value.i64 (Int64.of_int (Image.global_address t.img g)))
   | Decode.DBinop { cost; f; d; a; b } -> (
     (* read [a] before charging, as the tree-walker's cost computation
        does: an uninitialized operand must trap before the charge lands *)
@@ -581,22 +573,12 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
     let vb = dreg frame b in
     try dset frame d (f va vb)
     with Pvir.Eval.Division_by_zero -> raise (Trap "division by zero"))
-  | Decode.DBinopDyn { op; d; a; b } -> (
-    let va = dreg frame a in
-    dcharge ec (t.dispatch_cost + Pvir.Types.lanes (Pvir.Value.ty va));
-    let vb = dreg frame b in
-    try dset frame d (Pvir.Eval.binop op va vb)
-    with Pvir.Eval.Division_by_zero -> raise (Trap "division by zero"))
   | Decode.DUnop { cost; op; d; a } ->
     dcharge ec cost;
     dset frame d (Pvir.Eval.unop op (dreg frame a))
   | Decode.DConv { cost; f; d; a } ->
     dcharge ec cost;
     dset frame d (f (dreg frame a))
-  | Decode.DConvDyn { cost; kind; d; a } ->
-    dcharge ec cost;
-    let dst_ty = Pvir.Func.reg_type frame.dfn d in
-    dset frame d (Pvir.Eval.conv kind dst_ty (dreg frame a))
   | Decode.DCmp { cost; f; d; a; b } ->
     dcharge ec cost;
     (* operand reads in the tree-walker's (right-to-left) order, so that
@@ -647,81 +629,12 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
   | Decode.DSplat { cost; d; a; n } ->
     dcharge ec cost;
     dset frame d (Pvir.Eval.splat n (dreg frame a))
-  | Decode.DSplatDyn { cost; d; a } ->
-    dcharge ec cost;
-    let n =
-      match Pvir.Func.reg_type frame.dfn d with
-      | Pvir.Types.Vector (_, n) -> n
-      | _ -> raise (Trap "splat destination is not a vector")
-    in
-    dset frame d (Pvir.Eval.splat n (dreg frame a))
   | Decode.DExtract { cost; d; a; lane } ->
     dcharge ec cost;
     dset frame d (Pvir.Eval.extract (dreg frame a) lane)
   | Decode.DReduce { cost; op; d; a } ->
     dcharge ec cost;
     dset frame d (Pvir.Eval.reduce op (dreg frame a))
-  | Decode.DSeed { inst } -> dexec_seed t ec frame inst
-
-(* Replay of one instruction through the tree-walker's code path, used
-   for instructions whose registers failed decode-time validation: the
-   checked accessors raise the seed's exact [Invalid_argument] at the
-   same point the tree-walker would. *)
-and dexec_seed t ec frame (i : Pvir.Instr.t) : unit =
-  let v r = dreg_checked frame r in
-  let set d x = dset_checked frame d x in
-  let lanes_of r = Pvir.Types.lanes (Pvir.Value.ty (v r)) in
-  (match i with
-  | Pvir.Instr.Binop (_, _, a, _) -> dcharge ec (t.dispatch_cost + lanes_of a)
-  | Pvir.Instr.Load (ty, _, _, _) | Pvir.Instr.Store (ty, _, _, _) ->
-    dcharge ec (t.dispatch_cost + Pvir.Types.lanes ty)
-  | _ -> dcharge ec (t.dispatch_cost + 1));
-  match i with
-  | Pvir.Instr.Const (d, value) -> set d value
-  | Pvir.Instr.Mov (d, a) -> set d (v a)
-  | Pvir.Instr.Gaddr (d, g) ->
-    set d (Pvir.Value.i64 (Int64.of_int (Image.global_address t.img g)))
-  | Pvir.Instr.Binop (op, d, a, b) -> (
-    try set d (Pvir.Eval.binop op (v a) (v b))
-    with Pvir.Eval.Division_by_zero -> raise (Trap "division by zero"))
-  | Pvir.Instr.Unop (op, d, a) -> set d (Pvir.Eval.unop op (v a))
-  | Pvir.Instr.Conv (kind, d, a) ->
-    let dst_ty = Pvir.Func.reg_type frame.dfn d in
-    set d (Pvir.Eval.conv kind dst_ty (v a))
-  | Pvir.Instr.Cmp (op, d, a, b) -> set d (Pvir.Eval.cmp op (v a) (v b))
-  | Pvir.Instr.Select (d, c, a, b) ->
-    set d (Pvir.Eval.select (v c) (v a) (v b))
-  | Pvir.Instr.Load (ty, d, base, off) ->
-    let addr = Int64.to_int (Pvir.Value.to_int64 (v base)) + off in
-    set d (Memory.load t.img.mem addr ty)
-  | Pvir.Instr.Store (_, src, base, off) ->
-    let addr = Int64.to_int (Pvir.Value.to_int64 (v base)) + off in
-    Memory.store t.img.mem addr (v src)
-  | Pvir.Instr.Alloca (d, bytes) ->
-    t.sp <- t.sp - bytes;
-    if t.sp < t.img.globals_end then raise (Trap "stack overflow");
-    set d (Pvir.Value.i64 (Int64.of_int t.sp))
-  | Pvir.Instr.Call (d, name, args) -> (
-    let argv = List.map v args in
-    let result =
-      match Image.find_func t.img name with
-      | Some callee -> dcall t ec (decoded t callee) argv
-      | None -> intrinsic t name argv
-    in
-    match (d, result) with
-    | None, _ -> ()
-    | Some d, Some r -> set d r
-    | Some _, None ->
-      raise (Trap (Printf.sprintf "call to %s produced no value" name)))
-  | Pvir.Instr.Splat (d, a) ->
-    let n =
-      match Pvir.Func.reg_type frame.dfn d with
-      | Pvir.Types.Vector (_, n) -> n
-      | _ -> raise (Trap "splat destination is not a vector")
-    in
-    set d (Pvir.Eval.splat n (v a))
-  | Pvir.Instr.Extract (d, a, lane) -> set d (Pvir.Eval.extract (v a) lane)
-  | Pvir.Instr.Reduce (op, d, a) -> set d (Pvir.Eval.reduce op (v a))
 
 (* Armed counterpart of the unsafe-indexed fast loop (the tree-walker's
    [exec_armed], in flat-array form). *)
@@ -730,12 +643,7 @@ and dexec_armed t ec frame label (insts : Decode.dinstr array) i =
     (let ins = Array.unsafe_get insts i in
      try dexec_instr t ec frame ins
      with Ckpt_capture frames ->
-       let dst =
-         match ins with
-         | Decode.DCall { d; _ } -> d
-         | Decode.DSeed { inst = Pvir.Instr.Call (d, _, _); _ } -> d
-         | _ -> None
-       in
+       let dst = match ins with Decode.DCall { d; _ } -> d | _ -> None in
        frames := !frames @ [ d_ckpt_frame frame label (i + 1) dst ];
        raise (Ckpt_capture frames));
     dexec_armed t ec frame label insts (i + 1)
@@ -879,7 +787,7 @@ let rec d_resume t ec inject (frames : Pvir.Ckpt.frame list) :
   | [] -> invalid_arg "Interp.resume: empty frame stack"
   | f :: rest ->
     let df, frame = d_frame_of t f in
-    (match inject with Some (d, v) -> dset_checked frame d v | None -> ());
+    (match inject with Some (d, v) -> dset frame d v | None -> ());
     let idx = dblock_index df f.Pvir.Ckpt.ck_block in
     let result =
       try dexec_block_from t ec df frame idx ~ip:f.Pvir.Ckpt.ck_ip

@@ -10,9 +10,10 @@
     block array indices.
 
     Pre-decoding is semantics-preserving down to trap messages and trap
-    *order*: instructions whose operand/destination shape the tree-walking
-    engine would fault on decode to [SSeed], which the simulator executes
-    by replaying the original tree-walking code path. *)
+    *order* on every instruction shape the JIT emits.  A malformed shape —
+    a missing destination or operand, a store that is not (value, base), a
+    splat at a non-vector type — raises [Invalid_argument] at decode time;
+    nothing replays the tree-walking engine at run time. *)
 
 open Pvmach
 
@@ -64,8 +65,6 @@ type dinst =
   | SExtract of { cost : int; d : Mir.reg; a : dopnd; lane : int }
   | SReduce of { cost : int; op : Pvir.Instr.redop; d : Mir.reg; a : dopnd }
   | SCall of { cost : int; d : Mir.reg option; name : string; srcs : Mir.reg array }
-  | SSeed of { cost : int; spill : bool; inst : Mir.inst }
-      (** malformed shape: replay the tree-walking execution path *)
 
 type dterm =
   | SBr of int
@@ -83,7 +82,6 @@ type dfunc = {
   snslots : int;  (** size of the dense spill-slot array *)
   sframe_size : int;
   sblocks : dblock array;
-  slot_idx : (int, int) Hashtbl.t;  (** original slot id → dense index *)
   ssrc : Mir.func;  (** identity key: re-decode when replaced *)
 }
 
@@ -122,82 +120,70 @@ let max_vreg (fn : Mir.func) =
     fn.Mir.mblocks;
   !m
 
-let decode_inst ~(machine : Machine.t) ~slot_idx (i : Mir.inst) : dinst =
+let decode_inst ~(machine : Machine.t) ~slot_idx ~fname (i : Mir.inst) : dinst =
   let cost = Cost.of_inst machine i in
+  let malformed what =
+    invalid_arg
+      (Printf.sprintf "Mdecode: instruction %s %s in %s" (Mir.inst_to_string i)
+         what fname)
+  in
+  let d () =
+    match i.Mir.dst with Some d -> d | None -> malformed "lacks a destination"
+  in
   (* the immediate, when present, is always the last operand *)
   let n_regs = List.length i.Mir.srcs in
   let operand k =
-    if k < n_regs then Some (R (List.nth i.Mir.srcs k))
+    if k < n_regs then R (List.nth i.Mir.srcs k)
     else
       match i.Mir.imm with
-      | Some v when k = n_regs -> Some (I v)
-      | _ -> None
+      | Some v when k = n_regs -> I v
+      | _ -> malformed (Printf.sprintf "lacks operand %d" k)
   in
-  let seed ?(spill = false) () = SSeed { cost; spill; inst = i } in
-  let with_dst f = match i.Mir.dst with Some d -> f d | None -> seed () in
-  let op1 f = match operand 0 with Some a -> f a | None -> seed () in
-  let op2 f =
-    match (operand 0, operand 1) with
-    | Some a, Some b -> f a b
-    | _ -> seed ()
-  in
+  let a () = operand 0 and b () = operand 1 in
   match i.Mir.op with
-  | Mir.Mli v -> with_dst (fun d -> SLi { cost; d; v })
-  | Mir.Mmov -> with_dst (fun d -> op1 (fun a -> SMov { cost; d; a }))
+  | Mir.Mli v -> SLi { cost; d = d (); v }
+  | Mir.Mmov -> SMov { cost; d = d (); a = a () }
   | Mir.Mbin op ->
-    with_dst (fun d ->
-        op2 (fun a b -> SBin { cost; f = Fastop.binop op i.Mir.ty; d; a; b }))
-  | Mir.Mun op -> with_dst (fun d -> op1 (fun a -> SUn { cost; op; d; a }))
+    SBin { cost; f = Fastop.binop op i.Mir.ty; d = d (); a = a (); b = b () }
+  | Mir.Mun op -> SUn { cost; op; d = d (); a = a () }
   | Mir.Mconv kind ->
-    with_dst (fun d ->
-        op1 (fun a -> SConv { cost; f = Fastop.conv kind i.Mir.ty; d; a }))
+    SConv { cost; f = Fastop.conv kind i.Mir.ty; d = d (); a = a () }
   | Mir.Mcmp op ->
-    with_dst (fun d ->
-        op2 (fun a b -> SCmp { cost; f = Fastop.cmp op i.Mir.ty; d; a; b }))
+    SCmp { cost; f = Fastop.cmp op i.Mir.ty; d = d (); a = a (); b = b () }
   | Mir.Msel ->
-    with_dst (fun d ->
-        match (operand 0, operand 1, operand 2) with
-        | Some c, Some a, Some b -> SSel { cost; d; c; a; b }
-        | _ -> seed ())
+    SSel { cost; d = d (); c = operand 0; a = operand 1; b = operand 2 }
   | Mir.Mload off ->
-    with_dst (fun d ->
-        op1 (fun base ->
-            SLoad
-              {
-                cost;
-                ty = i.Mir.ty;
-                size = Pvir.Types.size i.Mir.ty;
-                d;
-                base;
-                off;
-              }))
+    SLoad
+      {
+        cost;
+        ty = i.Mir.ty;
+        size = Pvir.Types.size i.Mir.ty;
+        d = d ();
+        base = a ();
+        off;
+      }
   | Mir.Mstore off -> (
     match (i.Mir.srcs, i.Mir.imm) with
     | [ s; b ], None -> SStore { cost; value = R s; base = b; off }
     | [ b ], Some v -> SStore { cost; value = I v; base = b; off }
-    | _ -> seed ())
-  | Mir.Mframe_addr off -> with_dst (fun d -> SFrameAddr { cost; d; off })
+    | _ -> malformed "is not a (value, base) store")
+  | Mir.Mframe_addr off -> SFrameAddr { cost; d = d (); off }
   | Mir.Mframe_ld slot ->
-    with_dst (fun d ->
-        SFrameLd { cost; d; idx = Hashtbl.find slot_idx slot; slot })
+    SFrameLd { cost; d = d (); idx = Hashtbl.find slot_idx slot; slot }
   | Mir.Mframe_st slot ->
-    op1 (fun src ->
-        match src with
-        | R _ | I _ ->
-          SFrameSt { cost; idx = Hashtbl.find slot_idx slot; src })
-    |> fun r -> (match r with SSeed s -> SSeed { s with spill = true } | x -> x)
+    SFrameSt { cost; idx = Hashtbl.find slot_idx slot; src = a () }
   | Mir.Msplat -> (
     match i.Mir.ty with
-    | Pvir.Types.Vector (_, n) ->
-      with_dst (fun d -> op1 (fun a -> SSplat { cost; d; a; n }))
-    | _ -> seed ())
-  | Mir.Mextract lane ->
-    with_dst (fun d -> op1 (fun a -> SExtract { cost; d; a; lane }))
-  | Mir.Mreduce op -> with_dst (fun d -> op1 (fun a -> SReduce { cost; op; d; a }))
+    | Pvir.Types.Vector (_, n) -> SSplat { cost; d = d (); a = a (); n }
+    | _ -> malformed "splats at a non-vector type")
+  | Mir.Mextract lane -> SExtract { cost; d = d (); a = a (); lane }
+  | Mir.Mreduce op -> SReduce { cost; op; d = d (); a = a () }
   | Mir.Mcall name ->
     SCall { cost; d = i.Mir.dst; name; srcs = Array.of_list i.Mir.srcs }
 
-(** [func ~machine fn] pre-decodes [fn] for simulation on [machine]. *)
+(** [func ~machine fn] pre-decodes [fn] for simulation on [machine].
+    Raises [Invalid_argument] on a malformed instruction shape or a branch
+    to a missing block. *)
 let func ~(machine : Machine.t) (fn : Mir.func) : dfunc =
   let slot_idx = collect_slots fn in
   let blocks = Array.of_list fn.Mir.mblocks in
@@ -217,7 +203,10 @@ let func ~(machine : Machine.t) (fn : Mir.func) : dfunc =
   let decode_block (b : Mir.block) =
     {
       dinsts =
-        Array.of_list (List.map (decode_inst ~machine ~slot_idx) b.Mir.insts);
+        Array.of_list
+          (List.map
+             (decode_inst ~machine ~slot_idx ~fname:fn.Mir.mname)
+             b.Mir.insts);
       dtcost = Cost.of_term machine b.Mir.mterm;
       dterm =
         (match b.Mir.mterm with
@@ -237,6 +226,5 @@ let func ~(machine : Machine.t) (fn : Mir.func) : dfunc =
     snslots = Hashtbl.length slot_idx;
     sframe_size = fn.Mir.frame_size;
     sblocks = Array.map decode_block blocks;
-    slot_idx;
     ssrc = fn;
   }

@@ -21,7 +21,11 @@
       renumbered into arrays) and dispatches over it with an index-driven
       loop and unboxed cycle counters.  Decoded code lives in the code
       cache next to its MIR, so re-registering a function with
-      {!add_func} re-decodes it. *)
+      {!add_func} re-decodes it.  Decoding is total on the instruction
+      shapes the JIT emits, so the loop has one case per decoded
+      instruction and no run-time replay of the tree-walker; a malformed
+      shape raises [Invalid_argument] when its function is first
+      decoded. *)
 
 open Pvmach
 
@@ -509,82 +513,6 @@ and sexec_inst t ec frame (i : Mdecode.dinst) : unit =
       | None -> intrinsic t name argv
     in
     match (d, result) with
-    | None, _ -> ()
-    | Some d, Some value -> sset frame d value
-    | Some _, None -> trap "call to %s produced no value" name)
-  | Mdecode.SSeed { cost; spill; inst } ->
-    scharge ec cost;
-    if spill then ec.sspill <- ec.sspill + 1;
-    sexec_seed t ec frame inst
-
-(* Cold path for malformed instruction shapes (missing destination or
-   operand, bad store shape, splat at non-vector type): replay the
-   tree-walking execution body — charging already done by the caller —
-   so trap messages and trap order match it exactly. *)
-and sexec_seed t ec frame (i : Mir.inst) : unit =
-  let v r = sget frame r in
-  let dst () =
-    match i.Mir.dst with
-    | Some d -> d
-    | None -> trap "instruction %s lacks a destination" (Mir.inst_to_string i)
-  in
-  let operand k =
-    let n_regs = List.length i.Mir.srcs in
-    if k < n_regs then v (List.nth i.Mir.srcs k)
-    else
-      match i.Mir.imm with
-      | Some value when k = n_regs -> value
-      | _ -> trap "instruction %s lacks operand %d" (Mir.inst_to_string i) k
-  in
-  let src1 () = operand 0 in
-  let src2 () = operand 1 in
-  let slot_ref slot = Hashtbl.find frame.sdf.Mdecode.slot_idx slot in
-  match i.Mir.op with
-  | Mir.Mli value -> sset frame (dst ()) value
-  | Mir.Mmov -> sset frame (dst ()) (src1 ())
-  | Mir.Mbin op -> (
-    try sset frame (dst ()) (Pvir.Eval.binop op (src1 ()) (src2 ()))
-    with Pvir.Eval.Division_by_zero -> trap "division by zero")
-  | Mir.Mun op -> sset frame (dst ()) (Pvir.Eval.unop op (src1 ()))
-  | Mir.Mconv kind -> sset frame (dst ()) (Pvir.Eval.conv kind i.Mir.ty (src1 ()))
-  | Mir.Mcmp op -> sset frame (dst ()) (Pvir.Eval.cmp op (src1 ()) (src2 ()))
-  | Mir.Msel ->
-    sset frame (dst ()) (Pvir.Eval.select (operand 0) (operand 1) (operand 2))
-  | Mir.Mload off ->
-    let addr = Int64.to_int (Pvir.Value.to_int64 (src1 ())) + off in
-    sset frame (dst ()) (Memory.load t.img.mem addr i.Mir.ty)
-  | Mir.Mstore off ->
-    let value, base =
-      match (i.Mir.srcs, i.Mir.imm) with
-      | [ s; b ], None -> (v s, v b)
-      | [ b ], Some value -> (value, v b)
-      | _ -> trap "store expects (value, base)"
-    in
-    let addr = Int64.to_int (Pvir.Value.to_int64 base) + off in
-    Memory.store t.img.mem addr value
-  | Mir.Mframe_addr off ->
-    sset frame (dst ()) (Pvir.Value.i64 (Int64.of_int (frame.sfp + off)))
-  | Mir.Mframe_ld slot ->
-    let value = frame.sslots.(slot_ref slot) in
-    if value == uninit then
-      trap "reload of empty spill slot %d in %s" slot frame.sdf.Mdecode.sname
-    else sset frame (dst ()) value
-  | Mir.Mframe_st slot -> frame.sslots.(slot_ref slot) <- src1 ()
-  | Mir.Msplat -> (
-    match i.Mir.ty with
-    | Pvir.Types.Vector (_, n) ->
-      sset frame (dst ()) (Pvir.Eval.splat n (src1 ()))
-    | _ -> trap "splat at non-vector type")
-  | Mir.Mextract lane -> sset frame (dst ()) (Pvir.Eval.extract (src1 ()) lane)
-  | Mir.Mreduce op -> sset frame (dst ()) (Pvir.Eval.reduce op (src1 ()))
-  | Mir.Mcall name -> (
-    let argv = List.map v i.Mir.srcs in
-    let result =
-      match Hashtbl.find_opt t.code name with
-      | Some ce -> scall t ec (decoded t ce) argv
-      | None -> intrinsic t name argv
-    in
-    match (i.Mir.dst, result) with
     | None, _ -> ()
     | Some d, Some value -> sset frame d value
     | Some _, None -> trap "call to %s produced no value" name)

@@ -23,11 +23,14 @@ type run = {
   calls : int;
 }
 
-let run_kernel ?(n = 256) (engine : Pvvm.Interp.engine) (k : Kernels.t) : run =
+let kernel_interp ?fuel (engine : Pvvm.Interp.engine) (k : Kernels.t) =
   let p = Core.Splitc.frontend ~name:k.Kernels.name k.Kernels.source in
   let img = Pvvm.Image.load p in
   Harness.fill_inputs img;
-  let it = Pvvm.Interp.create ~engine img in
+  (img, Pvvm.Interp.create ?fuel ~engine img)
+
+let run_kernel ?(n = 256) (engine : Pvvm.Interp.engine) (k : Kernels.t) : run =
+  let img, it = kernel_interp engine k in
   let result = Pvvm.Interp.run it k.Kernels.entry (Harness.args k n) in
   let st = it.Pvvm.Interp.stats in
   {
@@ -74,11 +77,34 @@ let test_table1_kernel (k : Kernels.t) () =
   let aot = run_kernel Pvvm.Interp.Aot k in
   check_run_equal k.Kernels.name th aot
 
-(* ---------------- pinned random-program corpus ---------------- *)
+(* ---------------- fuel traps ---------------- *)
 
-let is_fuel_outcome = function
-  | Pvcheck.Oracle.Trapped m -> String.equal m Pvvm.Interp.fuel_exhausted_msg
-  | _ -> false
+(* A fuel budget that runs out inside one of the AOT engine's charge
+   batches must still leave the counters exactly where the threaded
+   engine's per-instruction check stops them.  Seven consecutive budgets
+   around half a kernel run are bound to land mid-block. *)
+let fuel_trap_counters engine (k : Kernels.t) fuel =
+  let _, it = kernel_interp ~fuel engine k in
+  (match Pvvm.Interp.run it k.Kernels.entry (Harness.args k 256) with
+  | _ -> Alcotest.failf "%s: fuel %Ld did not run out" k.Kernels.name fuel
+  | exception Pvvm.Interp.Trap m ->
+    Alcotest.(check string) "fuel trap" Pvvm.Interp.fuel_exhausted_msg m);
+  let st = it.Pvvm.Interp.stats in
+  (st.Pvvm.Interp.cycles, st.Pvvm.Interp.instrs, st.Pvvm.Interp.calls)
+
+let test_fuel_trap_kernel (k : Kernels.t) () =
+  let half = Int64.div (run_kernel Pvvm.Interp.Threaded k).instrs 2L in
+  for j = 0 to 6 do
+    let fuel = Int64.add half (Int64.of_int j) in
+    let name what = Printf.sprintf "%s fuel %Ld: %s" k.Kernels.name fuel what in
+    let c0, i0, n0 = fuel_trap_counters Pvvm.Interp.Threaded k fuel in
+    let c1, i1, n1 = fuel_trap_counters Pvvm.Interp.Aot k fuel in
+    Alcotest.(check int64) (name "cycles") c0 c1;
+    Alcotest.(check int64) (name "instrs") i0 i1;
+    Alcotest.(check int) (name "calls") n0 n1
+  done
+
+(* ---------------- pinned random-program corpus ---------------- *)
 
 let test_corpus_seed seed () =
   let prog = Pvcheck.Gen.program ~seed in
@@ -93,20 +119,16 @@ let test_corpus_seed seed () =
   | m :: _ ->
     Alcotest.failf "seed %d: %s mismatch: %s" seed m.Pvcheck.Oracle.what
       m.Pvcheck.Oracle.detail);
-  (* Accounting is bit-identical except when fuel ran out: block-batched
-     charging only diverges in the counter values observed *inside* a
-     fuel trap (DESIGN.md section 10). *)
-  if not (is_fuel_outcome th.Pvcheck.Oracle.iobs.Pvcheck.Oracle.outcome) then begin
-    Alcotest.(check int64)
-      (Printf.sprintf "seed %d: cycles" seed)
-      th.Pvcheck.Oracle.icycles aot.Pvcheck.Oracle.icycles;
-    Alcotest.(check int64)
-      (Printf.sprintf "seed %d: instrs" seed)
-      th.Pvcheck.Oracle.iinstrs aot.Pvcheck.Oracle.iinstrs;
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d: calls" seed)
-      th.Pvcheck.Oracle.icalls aot.Pvcheck.Oracle.icalls
-  end
+  (* accounting is bit-identical on every outcome, fuel traps included *)
+  Alcotest.(check int64)
+    (Printf.sprintf "seed %d: cycles" seed)
+    th.Pvcheck.Oracle.icycles aot.Pvcheck.Oracle.icycles;
+  Alcotest.(check int64)
+    (Printf.sprintf "seed %d: instrs" seed)
+    th.Pvcheck.Oracle.iinstrs aot.Pvcheck.Oracle.iinstrs;
+  Alcotest.(check int)
+    (Printf.sprintf "seed %d: calls" seed)
+    th.Pvcheck.Oracle.icalls aot.Pvcheck.Oracle.icalls
 
 (* ---------------- simulator engine (JIT-lowered MIR) ---------------- *)
 
@@ -409,6 +431,11 @@ let () =
         List.map
           (fun (k : Kernels.t) ->
             Alcotest.test_case k.Kernels.name `Quick (test_table1_kernel k))
+          Kernels.table1 );
+      ( "fuel",
+        List.map
+          (fun (k : Kernels.t) ->
+            Alcotest.test_case k.Kernels.name `Quick (test_fuel_trap_kernel k))
           Kernels.table1 );
       ( "corpus",
         List.map

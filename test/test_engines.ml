@@ -6,8 +6,11 @@
    the same result, the same printed output, the *exact* same
    cycle/instruction (and, for the simulator, spill-op) counts, and the
    same trap message at the same point as the tree-walkers.  Random
-   programs cover the well-formed path; hand-built ill-formed functions
-   cover the trap paths the frontend can never emit. *)
+   programs cover the well-formed path; hand-built functions cover the
+   run-time traps the frontend never emits.  Decoding is total on
+   verified PVIR and on well-shaped MIR: code that is neither is refused
+   with [Invalid_argument] when it is decoded, never replayed through a
+   tree-walker. *)
 
 let seeded_test ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -225,40 +228,47 @@ let test_uninitialized_register () =
   check "same message" true (String.equal m0 m1);
   check "mentions uninitialized" true (contains_sub m0 "uninitialized register")
 
+(* A one-block MIR function [name] on x86ish, returning virtual
+   register 0, registered in a fresh simulator running [engine]. *)
+let mir_sim ~engine name (insts : Pvmach.Mir.inst list) =
+  let p = Core.Splitc.frontend "i64 main() { return 0; }" in
+  let sim =
+    Pvvm.Sim.create ~engine (Pvvm.Image.load p) Pvmach.Machine.x86ish
+  in
+  let vreg_ty = Hashtbl.create 4 in
+  Hashtbl.replace vreg_ty 0 Pvir.Types.i64;
+  Pvvm.Sim.add_func sim
+    {
+      Pvmach.Mir.mname = name;
+      mparams = [];
+      marg_slots = [];
+      mret = Some Pvir.Types.i64;
+      mblocks =
+        [
+          {
+            Pvmach.Mir.mlabel = 0;
+            insts;
+            mterm = Pvmach.Mir.Tret (Some (Pvmach.Mir.V 0));
+          };
+        ];
+      frame_size = 8;
+      vreg_ty;
+      next_vreg = 1;
+      target = Pvmach.Machine.x86ish;
+      mblock_index = None;
+    };
+  sim
+
 let test_empty_spill_slot () =
   let run engine =
-    let p = Core.Splitc.frontend "i64 main() { return 0; }" in
-    let img = Pvvm.Image.load p in
-    let sim = Pvvm.Sim.create ~engine img Pvmach.Machine.x86ish in
     (* a function that reloads spill slot 0 without ever storing it *)
-    let vreg_ty = Hashtbl.create 4 in
-    Hashtbl.replace vreg_ty 0 Pvir.Types.i64;
-    let fn =
-      {
-        Pvmach.Mir.mname = "spilly";
-        mparams = [];
-        marg_slots = [];
-        mret = Some Pvir.Types.i64;
-        mblocks =
-          [
-            {
-              Pvmach.Mir.mlabel = 0;
-              insts =
-                [
-                  Pvmach.Mir.inst ~dst:(Pvmach.Mir.V 0)
-                    (Pvmach.Mir.Mframe_ld 0) Pvir.Types.i64;
-                ];
-              mterm = Pvmach.Mir.Tret (Some (Pvmach.Mir.V 0));
-            };
-          ];
-        frame_size = 8;
-        vreg_ty;
-        next_vreg = 1;
-        target = Pvmach.Machine.x86ish;
-        mblock_index = None;
-      }
+    let sim =
+      mir_sim ~engine "spilly"
+        [
+          Pvmach.Mir.inst ~dst:(Pvmach.Mir.V 0) (Pvmach.Mir.Mframe_ld 0)
+            Pvir.Types.i64;
+        ]
     in
-    Pvvm.Sim.add_func sim fn;
     match Pvvm.Sim.run sim "spilly" [] with
     | _ -> Alcotest.fail "empty spill reload did not trap"
     | exception Pvvm.Sim.Trap m -> m
@@ -266,6 +276,26 @@ let test_empty_spill_slot () =
   let m0 = run Pvvm.Sim.Tree_walk and m1 = run Pvvm.Sim.Threaded in
   check "same message" true (String.equal m0 m1);
   check "mentions spill slot" true (contains_sub m0 "spill slot")
+
+(* MIR the JIT never emits — here an [Mli] with no destination — is
+   refused when it is decoded, under the threaded engine and under AOT
+   (whose code generator hands it to the threaded decoder). *)
+let test_malformed_mir_rejected () =
+  Pvaot.install ();
+  List.iter
+    (fun engine ->
+      let sim =
+        mir_sim ~engine "nodst"
+          [ Pvmach.Mir.inst (Pvmach.Mir.Mli (Pvir.Value.i64 1L)) Pvir.Types.i64 ]
+      in
+      match Pvvm.Sim.run sim "nodst" [] with
+      | _ -> Alcotest.failf "%s ran malformed MIR" (Pvvm.Sim.engine_name engine)
+      | exception Invalid_argument m ->
+        check
+          (Pvvm.Sim.engine_name engine ^ " names the missing destination")
+          true
+          (contains_sub m "lacks a destination"))
+    [ Pvvm.Sim.Threaded; Pvvm.Sim.Aot ]
 
 let test_fuel_exhaustion () =
   let run engine =
@@ -339,6 +369,8 @@ let () =
           Alcotest.test_case "uninitialized register" `Quick
             test_uninitialized_register;
           Alcotest.test_case "empty spill slot" `Quick test_empty_spill_slot;
+          Alcotest.test_case "malformed MIR rejected at decode" `Quick
+            test_malformed_mir_rejected;
           Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion;
           Alcotest.test_case "division by zero" `Quick
             test_division_by_zero_parity;

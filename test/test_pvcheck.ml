@@ -78,6 +78,37 @@ let test_short_campaign_green () =
       f.Pvcheck.Harness.case f.Pvcheck.Harness.gen_seed
       f.Pvcheck.Harness.stage f.Pvcheck.Harness.what f.Pvcheck.Harness.detail)
 
+(* The full path matrix — every engine, AOT included, and every machine —
+   over six fixed programs: five recursive ones the JIT's immediate
+   folding once miscompiled (it folded parameters as constants), and the
+   source of the LICM reproducer in test_pvopt.  Accounting is compared
+   on every outcome, fuel traps included. *)
+let fixed_seeds =
+  [
+    (`Rec, 801207);
+    (`Rec, 802347);
+    (`Rec, 802383);
+    (`Rec, 500241);
+    (`Rec, 501771);
+    (`Dag, 301816);
+  ]
+
+let test_fixed_seeds_full_matrix () =
+  Pvaot.install ();
+  List.iter
+    (fun (shape, seed) ->
+      let prog =
+        match shape with
+        | `Rec -> Pvcheck.Gen.program_recursive ~seed
+        | `Dag -> Pvcheck.Gen.program ~seed
+      in
+      match Pvcheck.Oracle.check prog with
+      | [] -> ()
+      | m :: _ ->
+        Alcotest.failf "seed %d: %s %s: %s" seed m.Pvcheck.Oracle.path
+          m.Pvcheck.Oracle.what m.Pvcheck.Oracle.detail)
+    fixed_seeds
+
 let test_replay_seed_matches () =
   (* the (run seed, case index) -> generator seed mapping the CLI prints
      must regenerate the very program the run saw *)
@@ -201,6 +232,8 @@ let () =
             test_short_campaign_green;
           Alcotest.test_case "replay seed mapping" `Quick
             test_replay_seed_matches;
+          Alcotest.test_case "fixed seeds, full matrix" `Quick
+            test_fixed_seeds_full_matrix;
         ] );
       ( "planted bug",
         [

@@ -325,6 +325,23 @@ let test_verify_rejects_extract_lane () =
       blk.term <- Instr.Ret None;
       fn)
 
+(* A register with a declared type but outside [0, next_reg) would index
+   past the engines' register files: the verifier must reject it with a
+   typed error, not let it reach the VM. *)
+let test_verify_rejects_reg_out_of_range () =
+  let fn = Func.create ~name:"bad" ~params:[] ~ret:None in
+  let blk = Func.add_block fn in
+  Func.set_reg_type fn fn.next_reg Types.i64;
+  blk.instrs <- [ Instr.Const (fn.next_reg, Value.i64 1L) ];
+  blk.term <- Instr.Ret None;
+  let p = Prog.create "t" in
+  Prog.add_func p fn;
+  match Verify.program p with
+  | () -> Alcotest.fail "verifier accepted a register >= next_reg"
+  | exception Verify.Error m ->
+    Alcotest.(check string)
+      "error names the register" "register r0 outside [0, 0) in bad" m
+
 (* ---------------- instruction metadata ---------------- *)
 
 let test_instr_def_uses () =
@@ -496,6 +513,8 @@ let () =
           Alcotest.test_case "bad ret" `Quick test_verify_rejects_bad_ret;
           Alcotest.test_case "unknown global" `Quick test_verify_rejects_unknown_global;
           Alcotest.test_case "dup functions" `Quick test_verify_rejects_dup_functions;
+          Alcotest.test_case "register out of range" `Quick
+            test_verify_rejects_reg_out_of_range;
           Alcotest.test_case "bad extract lane" `Quick test_verify_rejects_extract_lane;
         ] );
       ( "instructions",

@@ -207,6 +207,66 @@ let test_immfold_keeps_semantics () =
     "i64 main(i64 n) { return (n + 5) * 3 - 100; }" "main"
     [ Pvir.Value.i64 9L ]
 
+(* Shrunk from [Pvcheck.Gen.program_recursive ~seed:802347].  Parameter
+   [r1] of [@r0] has one [Mli] redefinition, on the base-case path.
+   Counting only instruction definitions made it look like a single-def
+   constant, so the recursive path's [add r1, r15] folded -1 in place of
+   the incoming argument. *)
+let immfold_param_src =
+  {|program "immfold_param"
+
+func @main() : i64 {
+  reg r4 : i64
+  reg r10 : i64
+  reg r11 : i64
+  block 0:
+    r4 = const 129:i64
+    r10 = const 4:i64
+    r11 = call @r0(r10, r4)
+    ret r11
+}
+func @r0(r0 : i64, r1 : i64) : i64 {
+  reg r8 : i64
+  reg r10 : i64
+  reg r12 : i64
+  reg r13 : i32
+  reg r14 : i64
+  reg r15 : i64
+  reg r16 : i64
+  block 0:
+    r8 = const 16384:i64
+    r10 = const 1:i64
+    r12 = const 0:i64
+    r13 = cmp sle r0, r12
+    cbr r13, 1, 2
+  block 1:
+    r1 = const -1:i64
+    ret r1
+  block 2:
+    r14 = sub r0, r10
+    r15 = call @r0(r14, r8)
+    r16 = add r1, r15
+    ret r16
+}
+|}
+
+let test_immfold_param_not_constant () =
+  let expected = Some (Pvir.Value.i64 49280L) in
+  let img () = Pvvm.Image.load (Pvir.Parse.program immfold_param_src) in
+  let it = Pvvm.Interp.create (img ()) in
+  check bool_t "reference result" true (Pvvm.Interp.run it "main" [] = expected);
+  List.iter
+    (fun (machine : Machine.t) ->
+      let sim, _ =
+        Pvjit.Jit.compile_program ~machine ~hints:Pvjit.Jit.Hints_recompute
+          (img ())
+      in
+      check bool_t
+        (Printf.sprintf "result on %s" machine.Machine.name)
+        true
+        (Pvvm.Sim.run sim "main" [] = expected))
+    Machine.all
+
 (* ---------------- register allocation ---------------- *)
 
 let test_regalloc_all_physical () =
@@ -473,6 +533,8 @@ let () =
         [
           Alcotest.test_case "folds+shrinks" `Quick test_immfold_folds_and_shrinks;
           Alcotest.test_case "semantics" `Quick test_immfold_keeps_semantics;
+          Alcotest.test_case "parameter is not a constant" `Quick
+            test_immfold_param_not_constant;
         ] );
       ( "regalloc",
         [

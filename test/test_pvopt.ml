@@ -289,6 +289,83 @@ void f(i64 n) {
          ignore (Pvopt.Copyprop.run fn);
          Pvopt.Licm.run fn))
 
+(* Shrunk from [Pvcheck.Gen.program ~seed:301816] as the offline pipeline
+   hands it to LICM.  The inner loop (block 15) gets a preheader holding
+   the hoisted [r59 = uitofp r50].  That preheader lies inside the outer
+   loop (blocks 1, 13, 15, 16), which must see it: otherwise [r59] looks
+   invariant there and its uses are hoisted above its definition, and the
+   run traps reading an uninitialized register. *)
+let licm_nested_src =
+  {|program "fuzz301816"
+
+func @main() : i64 {
+  reg r6 : i64
+  reg r8 : i64
+  reg r25 : i64
+  reg r26 : i64
+  reg r27 : i32
+  reg r31 : i64
+  reg r50 : i64
+  reg r51 : i64
+  reg r52 : f32
+  reg r57 : i64
+  reg r58 : i64
+  reg r59 : f32
+  reg r60 : f32
+  reg r61 : i32
+  reg r62 : i32
+  block 0:
+    r8 = const 1:i64
+    r31 = const 1:i64
+    br 9
+  block 1:
+    r50 = const 1:i64
+    r51 = const 1:i64
+    r52 = const 0x1p+0:f32
+    r57 = const 0:i64
+    r58 = mov r51
+    br 15
+  block 2:
+    br 5
+  block 5:
+    br 25
+  block 9:
+    br 10
+  block 10:
+    br 12
+  block 12:
+    r6 = mov r31
+    r25 = const 0:i64
+    r26 = const 1:i64
+    br 1
+  block 13:
+    r25 = add r25, r8
+    r27 = cmp slt r25, r26
+    cbr r27, 1, 2
+  block 15:
+    r59 = uitofp r50
+    r60 = min r59, r52
+    r57 = add r57, r51
+    r61 = cmp slt r57, r58
+    cbr r61, 15, 16
+  block 16:
+    r62 = cmp eq r60, r59
+    br 13
+  block 23:
+    ret r6
+  block 25:
+    br 23
+}
+|}
+
+let test_licm_nested_preheader () =
+  let p = Pvir.Parse.program licm_nested_src in
+  let before = observe p "main" [] in
+  Pvopt.Passes.licm_all p;
+  Pvir.Verify.program p;
+  check bool_t "semantics preserved" true
+    (same_observation before (observe p "main" []))
+
 (* ---------------- strength reduction ---------------- *)
 
 let test_strength_removes_loop_mul () =
@@ -839,6 +916,7 @@ let () =
         [
           Alcotest.test_case "hoists invariant" `Quick test_licm_hoists;
           Alcotest.test_case "respects stores" `Quick test_licm_does_not_hoist_load_past_store;
+          Alcotest.test_case "nested preheader" `Quick test_licm_nested_preheader;
         ] );
       ( "strength",
         [ Alcotest.test_case "removes loop mul" `Quick test_strength_removes_loop_mul ] );
