@@ -96,11 +96,10 @@ let out_path name =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   Filename.concat dir name
 
-(* host execution engines under measurement (--engine; simulated cycle
-   counts are engine-independent, so every experiment must print the same
-   numbers under both settings) *)
-let sim_engine = ref Pvvm.Sim.Threaded
-let interp_engine = ref Pvvm.Interp.Threaded
+(* host execution engine under measurement, for both the interpreter and
+   the simulator (--engine; simulated cycle counts are engine-independent,
+   so every experiment must print the same numbers under every setting) *)
+let engine = ref Pvvm.Vm.Threaded
 
 (* ------------------------------------------------------------------ *)
 (* E1: Table 1 *)
@@ -138,7 +137,7 @@ let table1 () =
       let px, ps, pp = List.assoc k.Pvkernels.Kernels.name paper_table1 in
       List.iteri
         (fun i machine ->
-          let c = Pvkernels.Harness.table1_cell ~engine:!sim_engine ~machine k in
+          let c = Pvkernels.Harness.table1_cell ~engine:!engine ~machine k in
           let paper = match i with 0 -> px | 1 -> ps | _ -> pp in
           rows :=
             Json.Obj
@@ -179,7 +178,7 @@ let figure1 () =
   let rows = ref [] in
   List.iter
     (fun (k : Pvkernels.Kernels.t) ->
-      let _, icycles = Pvkernels.Harness.run_interp ~engine:!interp_engine k in
+      let _, icycles = Pvkernels.Harness.run_interp ~engine:!engine k in
       rows :=
         Json.Obj
           [
@@ -192,7 +191,7 @@ let figure1 () =
         "interp" "-" "-" icycles;
       List.iter
         (fun mode ->
-          let r = Pvkernels.Harness.run_jit ~engine:!sim_engine ~mode ~machine k in
+          let r = Pvkernels.Harness.run_jit ~engine:!engine ~mode ~machine k in
           rows :=
             Json.Obj
               [
@@ -249,7 +248,7 @@ let regalloc () =
         let prog = Pvir.Serial.decode bc in
         let img = Pvvm.Image.load prog in
         let sim, report = Pvjit.Jit.compile_program ~account ~machine ~hints img in
-        sim.Pvvm.Sim.engine <- !sim_engine;
+        sim.Pvvm.Sim.engine <- !engine;
         Pvkernels.Harness.fill_inputs img;
         let result =
           Pvvm.Sim.run sim k.Pvkernels.Kernels.entry
@@ -434,7 +433,7 @@ let ablation () =
   let run ~immfold ~peephole ~hints =
     let prog = Pvir.Serial.decode bc in
     let img = Pvvm.Image.load prog in
-    let sim = Pvvm.Sim.create ~engine:!sim_engine img machine in
+    let sim = Pvvm.Sim.create ~engine:!engine img machine in
     List.iter
       (fun fn ->
         let mf =
@@ -491,7 +490,7 @@ let ablation () =
   Pvopt.Passes.cleanup p2;
   let img = Pvvm.Image.load p2 in
   let sim, _ = Pvjit.Jit.compile_program ~machine ~hints:Pvjit.Jit.Hints_none img in
-  sim.Pvvm.Sim.engine <- !sim_engine;
+  sim.Pvvm.Sim.engine <- !engine;
   Pvkernels.Harness.fill_inputs img;
   ignore
     (Pvvm.Sim.run sim k.Pvkernels.Kernels.entry
@@ -585,7 +584,7 @@ i64 app_main(i64 n) {
       Pvjit.Jit.compile_program ~machine:Pvmach.Machine.x86ish
         ~hints:Pvjit.Jit.Hints_annotation img
     in
-    sim.Pvvm.Sim.engine <- !sim_engine;
+    sim.Pvvm.Sim.engine <- !engine;
     ignore (Pvvm.Sim.run sim "app_main" [ Pvir.Value.i64 256L ]);
     Pvvm.Sim.cycles sim
   in
@@ -1080,7 +1079,7 @@ let annot_faults () =
         let bc = Pvir.Serial.encode prog in
         let on = Core.Splitc.online ~mode:Core.Splitc.Split ~machine bc in
         let sim = on.Core.Splitc.sim in
-        sim.Pvvm.Sim.engine <- !sim_engine;
+        sim.Pvvm.Sim.engine <- !engine;
         Pvkernels.Harness.fill_inputs on.Core.Splitc.img;
         let result =
           Pvvm.Sim.run sim k.Pvkernels.Kernels.entry
@@ -1164,7 +1163,7 @@ let timeline () =
     Core.Splitc.run_source ~mode:Core.Splitc.Split ~machine ~tr ~metrics
       ~ledger k.Pvkernels.Kernels.source
   in
-  on.Core.Splitc.sim.Pvvm.Sim.engine <- !sim_engine;
+  on.Core.Splitc.sim.Pvvm.Sim.engine <- !engine;
   Pvkernels.Harness.fill_inputs on.Core.Splitc.img;
   ignore
     (Pvvm.Sim.run on.Core.Splitc.sim k.Pvkernels.Kernels.entry
@@ -1272,7 +1271,7 @@ let kpn_scale () =
     List.map
       (fun policy ->
         let t =
-          Pvcheck.Kpncheck.instantiate ~prog:fn_prog ~engine:!interp_engine net
+          Pvcheck.Kpncheck.instantiate ~prog:fn_prog ~engine:!engine net
         in
         let r =
           Pvsched.Sched.execute ~policy
@@ -1332,7 +1331,7 @@ let kpn_scale () =
     match List.rev results with (_, r) :: _ -> r.Pvsched.Sched.events | [] -> []
   in
   let procs_kpn =
-    (Pvcheck.Kpncheck.instantiate ~prog:fn_prog ~engine:!interp_engine net)
+    (Pvcheck.Kpncheck.instantiate ~prog:fn_prog ~engine:!engine net)
       .Pvsched.Kpn.processes
   in
   Pvsched.Mapper.emit_trace
@@ -1461,19 +1460,12 @@ let () =
       json_file := Some file;
       parse acc rest
     | "--engine" :: name :: rest ->
-      (match name with
-      | "tree" | "tree-walk" ->
-        sim_engine := Pvvm.Sim.Tree_walk;
-        interp_engine := Pvvm.Interp.Tree_walk
-      | "threaded" ->
-        sim_engine := Pvvm.Sim.Threaded;
-        interp_engine := Pvvm.Interp.Threaded
-      | "aot" ->
-        Pvaot.install ();
-        sim_engine := Pvvm.Sim.Aot;
-        interp_engine := Pvvm.Interp.Aot
-      | other ->
-        Printf.eprintf "unknown engine %s (try: tree threaded aot)\n" other;
+      (match Core.Cli.engine_of_string name with
+      | Ok e ->
+        if e = Pvvm.Vm.Aot then Pvaot.install ();
+        engine := e
+      | Error msg ->
+        prerr_endline msg;
         exit 1);
       parse acc rest
     | ("--json" | "--engine") :: [] ->

@@ -180,7 +180,6 @@ let run input target mode interp engine entry raw_args trace_out want_metrics
           let profile =
             match metrics with Some _ -> Some (Pvvm.Profile.create ()) | None -> None
           in
-          let iengine = Core.Cli.interp_engine engine in
           let finish it result =
             print_string (Pvvm.Interp.output it);
             (match result with
@@ -220,7 +219,7 @@ let run input target mode interp engine entry raw_args trace_out want_metrics
             let snap = Pvir.Ckpt.of_file path in
             Printf.printf "restored %s: checkpoint at %Ld retired instructions\n"
               path snap.Pvir.Ckpt.ck_instrs;
-            restore_and_resume iengine snap
+            restore_and_resume engine snap
           | None -> (
             let fn =
               match Pvir.Prog.find_func prog entry with
@@ -229,7 +228,7 @@ let run input target mode interp engine entry raw_args trace_out want_metrics
             in
             let args = parse_args fn raw_args in
             let it =
-              Core.Splitc.interpret ~limits ~engine:iengine ?profile ?sampler
+              Core.Splitc.interpret ~limits ~engine ?profile ?sampler
                 ?tr ?ledger bc
             in
             match (ckpt_at, migrate_at) with
@@ -262,8 +261,8 @@ let run input target mode interp engine entry raw_args trace_out want_metrics
                 let snap = Pvir.Ckpt.decode bytes in
                 let dst =
                   match migrate_to with
-                  | None -> iengine
-                  | Some name -> Core.Cli.interp_engine (parse_engine name)
+                  | None -> engine
+                  | Some name -> parse_engine name
                 in
                 Printf.printf
                   "migrated at %Ld retired instructions (%d-byte snapshot)\n"
@@ -280,7 +279,7 @@ let run input target mode interp engine entry raw_args trace_out want_metrics
           let args = parse_args fn raw_args in
           let on =
             Core.Splitc.online ~mode ~machine:target ~limits
-              ~engine:(Core.Cli.sim_engine engine) ?tr ?metrics ?ledger bc
+              ~engine ?tr ?metrics ?ledger bc
           in
           let result = Pvvm.Sim.run on.Core.Splitc.sim entry args in
           print_string (Pvvm.Sim.output on.Core.Splitc.sim);

@@ -157,30 +157,9 @@ type generation = {
   gcompile_work : int;  (** work paid to reach this generation *)
 }
 
-(** Play the three-generation lifecycle for [entry] on [machine].
-    [bytecode] must be the *raw* (pure-online) distribution: adaptive
-    tuning owns every optimization decision, including the
-    target-dependent ones a split-mode distribution has already baked in
-    (a strength-reduced loop is no longer vectorizable, for instance). *)
-let generations ?configs ?tr ?ledger ~machine ~prepare ~entry ~args
-    (bytecode : string) : generation list =
-  let prog = Pvir.Serial.decode bytecode in
-  (* generation 0: interpret + profile *)
-  let img0 = Pvvm.Image.load (Pvir.Prog.copy prog) in
-  let profile = Pvvm.Profile.create () in
-  let interp = Pvvm.Interp.create ~profile ?tr img0 in
-  prepare img0;
-  ignore (Pvvm.Interp.run interp entry args);
-  let gen0 =
-    {
-      gen = 0;
-      glabel = "interpret + profile";
-      exec_cycles = Pvvm.Interp.cycles interp;
-      gcompile_work = 0;
-    }
-  in
-  (* the profile flows back as hotness annotations (the Morph feedback) *)
-  Pvvm.Profile.annotate_hotness profile prog;
+(* Generations 1 and 2 of the lifecycle, after generation 0's profile
+   has flowed back into [prog]'s annotations. *)
+let jit_generations ?configs ?tr ?ledger ~machine ~prepare ~entry ~args prog =
   (* generation 1: quick baseline JIT, no optimization time spent *)
   let account1 = Pvir.Account.create () in
   let cycles1, _ =
@@ -209,7 +188,34 @@ let generations ?configs ?tr ?ledger ~machine ~prepare ~entry ~args
       gcompile_work = total_search_work;
     }
   in
-  [ gen0; gen1; gen2 ]
+  [ gen1; gen2 ]
+
+(** Play the three-generation lifecycle for [entry] on [machine].
+    [bytecode] must be the *raw* (pure-online) distribution: adaptive
+    tuning owns every optimization decision, including the
+    target-dependent ones a split-mode distribution has already baked in
+    (a strength-reduced loop is no longer vectorizable, for instance). *)
+let generations ?configs ?tr ?ledger ~machine ~prepare ~entry ~args
+    (bytecode : string) : generation list =
+  let prog = Pvir.Serial.decode bytecode in
+  (* generation 0: interpret + profile *)
+  let img0 = Pvvm.Image.load (Pvir.Prog.copy prog) in
+  let profile = Pvvm.Profile.create () in
+  let interp = Pvvm.Interp.create ~profile ?tr img0 in
+  prepare img0;
+  ignore (Pvvm.Interp.run interp entry args);
+  let gen0 =
+    {
+      gen = 0;
+      glabel = "interpret + profile";
+      exec_cycles = Pvvm.Interp.cycles interp;
+      gcompile_work = 0;
+    }
+  in
+  (* the profile flows back as hotness annotations (the Morph feedback) *)
+  Pvvm.Profile.annotate_hotness profile prog;
+  gen0
+  :: jit_generations ?configs ?tr ?ledger ~machine ~prepare ~entry ~args prog
 
 (** The sampled variant of the lifecycle: generation 0 interprets under
     the {e sampling} profiler ({!Pvprof}) instead of the exhaustive
@@ -257,31 +263,6 @@ let generations_sampled ?configs ?tr ?ledger ?(period = Pvprof.default_period)
     in
     take 0.0 (Pvprof.fn_ranking sampler)
   in
-  (* generations 1 and 2 exactly as in {!generations} *)
-  let account1 = Pvir.Account.create () in
-  let cycles1, _ =
-    measure ~account:account1 ?tr ?ledger ~machine ~prepare ~entry ~args prog
-  in
-  let gen1 =
-    {
-      gen = 1;
-      glabel = "quick JIT (no optimization)";
-      exec_cycles = cycles1;
-      gcompile_work = Pvir.Account.total account1;
-    }
-  in
-  let samples = search ?configs ?tr ?ledger ~machine ~prepare ~entry ~args prog in
-  let best = List.hd samples in
-  let total_search_work =
-    List.fold_left (fun acc s -> acc + s.compile_work) 0 samples
-  in
-  let gen2 =
-    {
-      gen = 2;
-      glabel =
-        Printf.sprintf "idle-time tuned (%s)" (config_label best.config);
-      exec_cycles = best.cycles;
-      gcompile_work = total_search_work;
-    }
-  in
-  ([ gen0; gen1; gen2 ], hot)
+  ( gen0
+    :: jit_generations ?configs ?tr ?ledger ~machine ~prepare ~entry ~args prog,
+    hot )

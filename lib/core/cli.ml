@@ -1,41 +1,20 @@
 (** Shared command-line plumbing for the drivers (pvsc, pvrun, pvfuzz,
-    bench).  One engine vocabulary, one mode vocabulary, one set of
-    decode-limit builders — so the tools cannot drift apart on spelling
-    or defaults. *)
+    bench).  One mode vocabulary, one decode-limits helper, and
+    the usage face of the VM's one engine vocabulary ({!Pvvm.Vm.engine},
+    which both executors share) — so the tools cannot drift apart on
+    spelling or defaults. *)
 
-(** Host execution engine, as selected on a command line.  One name
-    covers both VMs: the interpreter and the simulator each have a
-    tree-walking reference, a pre-decoded threaded engine, and the AOT
-    native backend. *)
-type engine = Tree_walk | Threaded | Aot
-
-let engine_name = function
-  | Tree_walk -> "tree"
-  | Threaded -> "threaded"
-  | Aot -> "aot"
-
-let all_engines = [ Tree_walk; Threaded; Aot ]
-let engine_names = String.concat ", " (List.map engine_name all_engines)
+let engine_names =
+  String.concat ", " (List.map Pvvm.Vm.cli_name Pvvm.Vm.engines)
 
 (** [engine_of_string s] — [Error] carries a usage message listing the
     valid spellings. *)
-let engine_of_string = function
-  | "tree" | "tree-walk" -> Ok Tree_walk
-  | "threaded" -> Ok Threaded
-  | "aot" -> Ok Aot
-  | s ->
+let engine_of_string s =
+  match Pvvm.Vm.engine_of_string s with
+  | Some e -> Ok e
+  | None ->
     Error
       (Printf.sprintf "unknown engine %s (valid engines: %s)" s engine_names)
-
-let interp_engine = function
-  | Tree_walk -> Pvvm.Interp.Tree_walk
-  | Threaded -> Pvvm.Interp.Threaded
-  | Aot -> Pvvm.Interp.Aot
-
-let sim_engine = function
-  | Tree_walk -> Pvvm.Sim.Tree_walk
-  | Threaded -> Pvvm.Sim.Threaded
-  | Aot -> Pvvm.Sim.Aot
 
 (** [mode_of_string s] — same contract as {!engine_of_string}. *)
 let mode_of_string = function

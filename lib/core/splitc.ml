@@ -183,7 +183,7 @@ let run_source ?(mode = Split) ~(machine : Pvmach.Machine.t) ?mem_size ?engine
 
     Every failure a distribution pipeline can hit, as one typed sum.  The
     library layers raise their own exceptions (decoder {!Pvir.Serial.Corrupt},
-    verifier {!Pvir.Verify.Error}, VM {!Pvvm.Interp.Trap}, ...); drivers and
+    verifier {!Pvir.Verify.Error}, VM {!Pvvm.Vm.Trap}, ...); the command-line
     tools want a single vocabulary with stable process exit codes, and they
     want it *total* — no raw exception (and no backtrace) may escape to an
     end user on any input, however hostile. *)
@@ -237,13 +237,12 @@ let classify : exn -> error option = function
   | Pvvm.Snapshot.Invalid m -> Some (Verify_error ("snapshot: " ^ m))
   | Pvir.Link.Error m -> Some (Link_error m)
   | Pvjit.Regalloc.Error m -> Some (Jit_error m)
-  | Pvvm.Interp.Trap m when String.equal m Pvvm.Interp.fuel_exhausted_msg ->
-    Some (Resource_limit m)
-  | Pvvm.Sim.Trap m when String.equal m Pvvm.Sim.fuel_exhausted_msg ->
+  | Pvvm.Vm.Trap m
+    when String.equal m Pvvm.Interp.fuel_exhausted_msg
+         || String.equal m Pvvm.Sim.fuel_exhausted_msg ->
     Some (Resource_limit m)
   | Pvvm.Memory.Limit m -> Some (Resource_limit m)
-  | Pvvm.Interp.Trap m | Pvvm.Sim.Trap m -> Some (Runtime_trap m)
-  | Pvvm.Memory.Fault m -> Some (Runtime_trap ("memory fault: " ^ m))
+  | Pvvm.Vm.Trap m -> Some (Runtime_trap m)
   | Sys_error m -> Some (Io_error m)
   | _ -> None
 

@@ -19,8 +19,10 @@
    through [Aotabi.register_src], carrying the generated-body digest the
    loader verifies on every load (the cache staleness guard).  7: the
    interpreter backend's fuel traps rewind the charge batch, so their
-   counters match the threaded engine's. *)
-let codegen_version = 7
+   counters match the threaded engine's.  8: plugins raise [Pvvm.Vm.Trap]
+   and call [Pvvm.Vm.intrinsic] on the context's output buffer; the
+   context no longer carries trap and intrinsic closures. *)
+let codegen_version = 8
 
 type toolchain = {
   native : bool;  (** true: ocamlopt -shared -> .cmxs; false: ocamlc -> .cmo *)

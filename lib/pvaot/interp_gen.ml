@@ -281,7 +281,7 @@ let emit_guard st r =
   if not (IntSet.mem r st.assigned) then begin
     if not (IntSet.mem r st.guarded) then
       unsupported "register r%d read outside the guarded set" r;
-    line st "if not !gu_%d then raise (ctx.A.trap %S);" r
+    line st "if not !gu_%d then raise (VM.Trap %S);" r
       (Printf.sprintf "read of uninitialized register r%d in %s" r
          st.fn.Func.name);
     st.assigned <- IntSet.add r st.assigned
@@ -333,25 +333,25 @@ let int_binop_expr _st (op : Instr.binop) s xa xb =
   | Instr.Mul -> n (Printf.sprintf "(Int64.mul %s %s)" xa xb)
   | Instr.Div ->
     Printf.sprintf
-      "(if (%s : int64) = 0L then raise (ctx.A.trap \"division by zero\") \
+      "(if (%s : int64) = 0L then raise (VM.Trap \"division by zero\") \
        else %s)"
       xb
       (n (Printf.sprintf "(Int64.div %s %s)" xa xb))
   | Instr.Udiv ->
     Printf.sprintf
-      "(if (%s : int64) = 0L then raise (ctx.A.trap \"division by zero\") \
+      "(if (%s : int64) = 0L then raise (VM.Trap \"division by zero\") \
        else %s)"
       xb
       (n (Printf.sprintf "(Int64.unsigned_div %s %s)" (uns s xa) (uns s xb)))
   | Instr.Rem ->
     Printf.sprintf
-      "(if (%s : int64) = 0L then raise (ctx.A.trap \"division by zero\") \
+      "(if (%s : int64) = 0L then raise (VM.Trap \"division by zero\") \
        else %s)"
       xb
       (n (Printf.sprintf "(Int64.rem %s %s)" xa xb))
   | Instr.Urem ->
     Printf.sprintf
-      "(if (%s : int64) = 0L then raise (ctx.A.trap \"division by zero\") \
+      "(if (%s : int64) = 0L then raise (VM.Trap \"division by zero\") \
        else %s)"
       xb
       (n (Printf.sprintf "(Int64.unsigned_rem %s %s)" (uns s xa) (uns s xb)))
@@ -399,19 +399,19 @@ let narrow_binop_expr (op : Instr.binop) s xa xb =
   | Instr.Mul -> n (Printf.sprintf "(%s * %s)" xa xb)
   | Instr.Div ->
     Printf.sprintf
-      "(if %s = 0 then raise (ctx.A.trap \"division by zero\") else %s)" xb
+      "(if %s = 0 then raise (VM.Trap \"division by zero\") else %s)" xb
       (n (Printf.sprintf "(%s / %s)" xa xb))
   | Instr.Udiv ->
     Printf.sprintf
-      "(if %s = 0 then raise (ctx.A.trap \"division by zero\") else %s)" xb
+      "(if %s = 0 then raise (VM.Trap \"division by zero\") else %s)" xb
       (n (Printf.sprintf "(%s / %s)" (u xa) (u xb)))
   | Instr.Rem ->
     Printf.sprintf
-      "(if %s = 0 then raise (ctx.A.trap \"division by zero\") else %s)" xb
+      "(if %s = 0 then raise (VM.Trap \"division by zero\") else %s)" xb
       (n (Printf.sprintf "(%s mod %s)" xa xb))
   | Instr.Urem ->
     Printf.sprintf
-      "(if %s = 0 then raise (ctx.A.trap \"division by zero\") else %s)" xb
+      "(if %s = 0 then raise (VM.Trap \"division by zero\") else %s)" xb
       (n (Printf.sprintf "(%s mod %s)" (u xa) (u xb)))
   | Instr.And -> n (Printf.sprintf "(%s land %s)" xa xb)
   | Instr.Or -> n (Printf.sprintf "(%s lor %s)" xa xb)
@@ -519,7 +519,7 @@ let emit_unbox_value st d expr =
 (** Emit the result handling for a call producing a [V.t option]. *)
 let emit_call_result st (d : Instr.reg option) name call_expr =
   let no_value =
-    Printf.sprintf "raise (ctx.A.trap %S)"
+    Printf.sprintf "raise (VM.Trap %S)"
       (Printf.sprintf "call to %s produced no value" name)
   in
   match d with
@@ -555,7 +555,7 @@ let scalar_size_of s = Types.scalar_size s
 
 (** Emit the inline bounds check + direct byte access prelude for a
     memory operation at [a_] of [sz] bytes.  The slow path re-runs the
-    engine's own checker, which raises the exact [Memory.Fault]. *)
+    engine's own checker, which raises the exact memory-fault trap. *)
 let emit_bounds st sz =
   line st "if a_ < ng_ || a_ + %d > sz_ then M.check mem_ a_ %d;" sz sz
 
@@ -630,7 +630,7 @@ let emit_instr st (i : Instr.t) =
       emit_set st d
         (Printf.sprintf
            "(try Ev.binop %s %s %s with Ev.Division_by_zero -> raise \
-            (ctx.A.trap \"division by zero\"))"
+            (VM.Trap \"division by zero\"))"
            (binop_ctor op) (rd st a) (rd st b));
       mark_def st d)
   | Instr.Unop (op, d, a) -> (
@@ -847,7 +847,7 @@ let emit_instr st (i : Instr.t) =
     flush st;
     line st "ctx.A.sp <- ctx.A.sp - %d;" bytes;
     line st
-      "if ctx.A.sp < ctx.A.globals_end then raise (ctx.A.trap \"stack \
+      "if ctx.A.sp < ctx.A.globals_end then raise (VM.Trap \"stack \
        overflow\");";
     (match reg_class st d with
     | KWide -> emit_set st d "(Int64.of_int ctx.A.sp)"
@@ -861,7 +861,7 @@ let emit_instr st (i : Instr.t) =
     let call_expr =
       match Hashtbl.find_opt st.fnindex name with
       | Some k -> Printf.sprintf "(f_%d ctx [ %s ])" k argv
-      | None -> Printf.sprintf "(ctx.A.intr %S [ %s ])" name argv
+      | None -> Printf.sprintf "(VM.intrinsic ctx.A.out %S [ %s ])" name argv
     in
     emit_call_result st d name call_expr;
     (match d with Some d -> mark_def st d | None -> ())
@@ -1196,7 +1196,7 @@ let emit_function buf img fnindex ~dispatch_cost ~first idx (fn : Func.t) =
     line st "in b_0 ()"
   end;
   st.ind <- "  ";
-  line st "| _ -> raise (ctx.A.trap %S)"
+  line st "| _ -> raise (VM.Trap %S)"
     (Printf.sprintf "arity mismatch calling %s" fn.Func.name)
 
 (* ------------------------------------------------------------------ *)
@@ -1216,6 +1216,7 @@ let header =
       "module Ev = Pvir__Eval";
       "module A = Pvvm__Aotabi";
       "module M = Pvvm__Memory";
+      "module VM = Pvvm__Vm";
       "";
       "(* A flushed batch overran the fuel budget: undo it and re-charge its";
       "   instructions one at a time, as the threaded engine does, so the";

@@ -208,10 +208,6 @@ let args_match (fn : Pvir.Func.t) (args : Pvir.Value.t list) =
 (* ------------------------------------------------------------------ *)
 (* Interpreter runner                                                  *)
 
-let clamp_fuel (fuel : int64) =
-  if Int64.compare fuel (Int64.of_int max_int) >= 0 then max_int
-  else Int64.to_int fuel
-
 let interp_ctx (t : Pvvm.Interp.t) : Aotabi.ctx =
   {
     Aotabi.mem = t.Pvvm.Interp.img.Pvvm.Image.mem;
@@ -221,10 +217,9 @@ let interp_ctx (t : Pvvm.Interp.t) : Aotabi.ctx =
     instrs = Int64.to_int t.Pvvm.Interp.stats.Pvvm.Interp.instrs;
     spills = 0;
     calls = t.Pvvm.Interp.stats.Pvvm.Interp.calls;
-    fuel = clamp_fuel t.Pvvm.Interp.fuel;
-    trap = (fun m -> Pvvm.Interp.Trap m);
-    fuel_exn = Pvvm.Interp.Trap Pvvm.Interp.fuel_exhausted_msg;
-    intr = (fun name args -> Pvvm.Interp.intrinsic t name args);
+    fuel = Pvvm.Vm.clamp t.Pvvm.Interp.fuel;
+    fuel_exn = Pvvm.Vm.Trap Pvvm.Interp.fuel_exhausted_msg;
+    out = t.Pvvm.Interp.out;
   }
 
 let flush_interp_ctx (t : Pvvm.Interp.t) (c : Aotabi.ctx) =
@@ -328,10 +323,9 @@ let sim_ctx (t : Pvvm.Sim.t) : Aotabi.ctx =
     instrs = Int64.to_int t.Pvvm.Sim.stats.Pvvm.Sim.instrs;
     spills = Int64.to_int t.Pvvm.Sim.stats.Pvvm.Sim.spill_ops;
     calls = 0;
-    fuel = clamp_fuel t.Pvvm.Sim.fuel;
-    trap = (fun m -> Pvvm.Sim.Trap m);
-    fuel_exn = Pvvm.Sim.Trap Pvvm.Sim.fuel_exhausted_msg;
-    intr = (fun name args -> Pvvm.Sim.intrinsic t name args);
+    fuel = Pvvm.Vm.clamp t.Pvvm.Sim.fuel;
+    fuel_exn = Pvvm.Vm.Trap Pvvm.Sim.fuel_exhausted_msg;
+    out = t.Pvvm.Sim.out;
   }
 
 let flush_sim_ctx (t : Pvvm.Sim.t) (c : Aotabi.ctx) =

@@ -3,10 +3,10 @@
     One OCaml function per code-cache entry, basic blocks as a
     tail-recursive nest of local functions, registers and spill slots as
     [let]-bound [Pvir.Value.t ref]s sharing the engines' uninitialized
-    sentinel trick (a unique empty-vector block recognized by physical
-    identity).  Values stay boxed and all arithmetic delegates to
-    {!Pvir.Eval} — the same code both simulator engines run — so results
-    are bit-identical by construction.
+    sentinel ({!Pvvm.Vm.uninit}, recognized by physical identity).  Values
+    stay boxed and all arithmetic delegates to {!Pvir.Eval} — the same
+    code both simulator engines run — so results are bit-identical by
+    construction.
 
     Unlike the interpreter backend, accounting is charged *immediately*
     per executed instruction (the {!Pvmach.Cost} numbers are baked into
@@ -17,10 +17,11 @@
 
     Calls are resolved statically against a snapshot of the simulator's
     code cache: a callee in the snapshot becomes a direct call to its
-    generated function, anything else goes to the host's intrinsic
-    dispatcher — exactly the dynamic [Hashtbl.find_opt] split of the
-    engines, valid because the runner re-validates the snapshot (by
-    physical identity) before reusing compiled code.
+    generated function, anything else goes to the shared intrinsic
+    dispatcher {!Pvvm.Vm.intrinsic} — exactly the dynamic
+    [Hashtbl.find_opt] split of the engines, valid because the runner
+    re-validates the snapshot (by physical identity) before reusing
+    compiled code.
 
     Like the interpreter backend, generated code polls no safepoints —
     checkpoint and sampling thresholds are block-entry concerns of the
@@ -86,7 +87,7 @@ let reg_read (r : Mir.reg) =
       Printf.sprintf "read of uninitialized register %s" (Mir.reg_to_string r)
   in
   Printf.sprintf
-    "(let x_ = !%s in if x_ == uninit_ then raise (ctx.A.trap %S) else x_)"
+    "(let x_ = !%s in if x_ == uninit_ then raise (VM.Trap %S) else x_)"
     (reg_name r) msg
 
 (* ------------------------------------------------------------------ *)
@@ -152,7 +153,7 @@ let emit_inst st (i : Mir.inst) =
     line st "let o0_ = %s in" (operand st i 0);
     line st
       "(try %s := Ev.binop %s o0_ o1_ with Ev.Division_by_zero -> raise \
-       (ctx.A.trap \"division by zero\"));"
+       (VM.Trap \"division by zero\"));"
       (reg_name d)
       (Interp_gen.binop_ctor op)
   | Mir.Mun op ->
@@ -201,7 +202,7 @@ let emit_inst st (i : Mir.inst) =
   | Mir.Mframe_ld slot ->
     let d = dst st i in
     line st "let x_ = !%s in" (slot_name slot);
-    line st "if x_ == uninit_ then raise (ctx.A.trap %S);"
+    line st "if x_ == uninit_ then raise (VM.Trap %S);"
       (Printf.sprintf "reload of empty spill slot %d in %s" slot
          st.fn.Mir.mname);
     set st d "x_"
@@ -231,14 +232,14 @@ let emit_inst st (i : Mir.inst) =
     let call_expr =
       match Hashtbl.find_opt st.fnindex name with
       | Some k -> Printf.sprintf "f_%d ctx [ %s ]" k argv
-      | None -> Printf.sprintf "ctx.A.intr %S [ %s ]" name argv
+      | None -> Printf.sprintf "VM.intrinsic ctx.A.out %S [ %s ]" name argv
     in
     match i.Mir.dst with
     | None -> line st "ignore (%s : V.t option);" call_expr
     | Some d ->
       check_reg st.machine d;
       line st
-        "(match %s with Some x_ -> %s := x_ | None -> raise (ctx.A.trap %S));"
+        "(match %s with Some x_ -> %s := x_ | None -> raise (VM.Trap %S));"
         call_expr (reg_name d)
         (Printf.sprintf "call to %s produced no value" name))
 
@@ -299,7 +300,7 @@ let emit_function buf machine fnindex ~first idx (fn : Mir.func) =
   st.ind <- "    ";
   line st "let saved_sp_ = ctx.A.sp in";
   line st "ctx.A.sp <- ctx.A.sp - %d;" fn.Mir.frame_size;
-  line st "if ctx.A.sp < ctx.A.globals_end then raise (ctx.A.trap %S);"
+  line st "if ctx.A.sp < ctx.A.globals_end then raise (VM.Trap %S);"
     (Printf.sprintf "stack overflow in %s" fn.Mir.mname);
   if Array.length blocks = 0 then
     (* [Mir.entry]'s exact no-blocks error, an [Invalid_argument] rather
@@ -360,7 +361,7 @@ let emit_function buf machine fnindex ~first idx (fn : Mir.func) =
     line st "r_"
   end;
   st.ind <- "  ";
-  line st "| _ -> raise (ctx.A.trap %S)"
+  line st "| _ -> raise (VM.Trap %S)"
     (Printf.sprintf "arity mismatch calling %s" fn.Mir.mname)
 
 (* ------------------------------------------------------------------ *)
@@ -378,8 +379,9 @@ let header =
       "module Ev = Pvir__Eval";
       "module A = Pvvm__Aotabi";
       "module M = Pvvm__Memory";
+      "module VM = Pvvm__Vm";
       "";
-      "let uninit_ : V.t = V.Vec [||]";
+      "let uninit_ = VM.uninit";
       "";
       "let chg_ (ctx : A.ctx) n =";
       "  ctx.A.cycles <- ctx.A.cycles + n;";

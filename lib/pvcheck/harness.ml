@@ -30,14 +30,14 @@ let replay_seed ~seed ~case =
   done;
   !s
 
+(** An oracle mismatch as a (stage, what, detail) failure. *)
+let of_mismatch (m : Oracle.mismatch) =
+  (m.Oracle.path, m.Oracle.what, m.Oracle.detail)
+
 (** Every failure of one case, as (stage, what, detail) triples. *)
 let check_case ?(paths = Oracle.all_paths) ?(passes = Passcheck.all_passes)
     ?jit (prog : Prog.t) : (string * string * string) list =
-  let oracle =
-    List.map
-      (fun (m : Oracle.mismatch) -> (m.Oracle.path, m.Oracle.what, m.Oracle.detail))
-      (Oracle.check ~paths prog)
-  in
+  let oracle = List.map of_mismatch (Oracle.check ~paths prog) in
   let pass_fs =
     if passes = [] then []
     else
@@ -84,16 +84,16 @@ let narrow_for_stage ~passes ~stage =
       List.filter (fun (p : Passcheck.pass) -> p.Passcheck.pname = stage) passes,
       false )
 
-(** Shrink [prog] while it keeps failing with the same [stage]/[what]
-    signature (the detail may drift as the program shrinks). *)
-let shrink_finding ?budget ~passes ~stage ~what (prog : Prog.t) : Prog.t =
-  let paths, passes, jit = narrow_for_stage ~passes ~stage in
-  let pred q =
-    List.exists
-      (fun (s, w, _) -> s = stage && w = what)
-      (check_case ~paths ~passes ~jit q)
-  in
-  if pred prog then Shrink.run ?budget ~pred prog else prog
+(** The default per-case check: the differential matrix over [paths]
+    and [passes], or — given the [stage] of a failure being shrunk — the
+    narrowed configuration of {!narrow_for_stage}.  It draws no further
+    seeds. *)
+let differential ~paths ~passes (_ : unit -> int) ~stage q =
+  match stage with
+  | None -> check_case ~paths ~passes q
+  | Some stage ->
+    let paths, passes, jit = narrow_for_stage ~passes ~stage in
+    check_case ~paths ~passes ~jit q
 
 type progress = Case_ok of int | Case_failed of finding
 
@@ -101,25 +101,46 @@ type progress = Case_ok of int | Case_failed of finding
     (default 1: the first failure is the actionable one).  [on_progress]
     sees every case, for CLI reporting.  [gen] swaps the program shape —
     e.g. {!Gen.program_recursive} — without touching the campaign
-    plumbing; the default is the classic DAG-call generator. *)
+    plumbing; the default is the classic DAG-call generator.  [check]
+    swaps the per-case oracle (default {!differential}): after the
+    generator seed it draws the case's further seeds from the campaign
+    stream, and returns the check that runs on the case and, with the
+    failing [stage], on every shrink candidate.  A failure is shrunk
+    while it keeps its [stage]/[what] signature (the detail may drift as
+    the program shrinks). *)
 let run ?(paths = Oracle.all_paths) ?(passes = Passcheck.all_passes)
-    ?(gen = fun ~seed -> Gen.program ~seed) ?(shrink = false) ?shrink_budget
+    ?(gen = fun ~seed -> Gen.program ~seed)
+    ?(check :
+       (unit -> int) ->
+       stage:string option ->
+       Prog.t ->
+       (string * string * string) list =
+      differential ~paths ~passes) ?(shrink = false) ?shrink_budget
     ?(max_findings = 1)
     ?(on_progress = fun (_ : progress) -> ()) ~seed ~count () : finding list =
   let r = R.rng seed in
+  let draw () =
+    Int64.to_int (Int64.logand (R.next_int64 r) 0x3FFFFFFFFFFFFFFFL)
+  in
   let findings = ref [] in
   let case = ref 0 in
   while !case < count && List.length !findings < max_findings do
-    let gen_seed =
-      Int64.to_int (Int64.logand (R.next_int64 r) 0x3FFFFFFFFFFFFFFFL)
-    in
+    let gen_seed = draw () in
+    let check = check draw in
     let prog = gen ~seed:gen_seed in
-    (match check_case ~paths ~passes prog with
+    (match check ~stage:None prog with
     | [] -> on_progress (Case_ok !case)
     | (stage, what, detail) :: _ ->
       let shrunk =
         if shrink then
-          Some (shrink_finding ?budget:shrink_budget ~passes ~stage ~what prog)
+          let pred q =
+            List.exists
+              (fun (s, w, _) -> s = stage && w = what)
+              (check ~stage:(Some stage) q)
+          in
+          Some
+            (if pred prog then Shrink.run ?budget:shrink_budget ~pred prog
+             else prog)
         else None
       in
       let f =

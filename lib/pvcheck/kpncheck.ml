@@ -163,22 +163,14 @@ let net_to_string (net : net) : string =
 (* Instantiation                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let engines =
-  [| Pvvm.Interp.Tree_walk; Pvvm.Interp.Threaded; Pvvm.Interp.Aot |]
-
-let engine_name = function
-  | Pvvm.Interp.Tree_walk -> "tw"
-  | Pvvm.Interp.Threaded -> "th"
-  | Pvvm.Interp.Aot -> "aot"
-
 (** Bind [net] to runnable processes: one interpreter per instantiation
     (under [engine]) firing the node kernels of [prog], and the external
     source tokens pushed ([vseed]-deterministic values).  Each fire pads
     or truncates its input heads to the kernel's arity, so structural
     shrinking never breaks invocation. *)
-let instantiate ~(prog : Prog.t) ?profile ~(engine : Pvvm.Interp.engine)
+let instantiate ~(prog : Prog.t) ?profile ~(engine : Pvvm.Vm.engine)
     (net : net) : Kpn.t =
-  if engine = Pvvm.Interp.Aot then Pvaot.install ();
+  if engine = Pvvm.Vm.Aot then Pvaot.install ();
   let img = Pvvm.Image.load (Prog.copy prog) in
   let it = Pvvm.Interp.create ?profile ~engine img in
   let procs =
@@ -243,8 +235,6 @@ let instantiate ~(prog : Prog.t) ?profile ~(engine : Pvvm.Interp.engine)
 (* The oracle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let default_engines = [ Pvvm.Interp.Tree_walk; Pvvm.Interp.Threaded; Pvvm.Interp.Aot ]
-
 let run_one ~prog ?profile ~engine ~policy ?chaos (net : net) :
     (Sched.result, string) Stdlib.result =
   let t = instantiate ~prog ?profile ~engine net in
@@ -255,7 +245,7 @@ let run_one ~prog ?profile ~engine ~policy ?chaos (net : net) :
 (** Check one net against the full oracle.  [profile], when given, is
     attached to the reference instantiation (first engine, first
     policy) so a campaign can harvest executed-block coverage. *)
-let check ?(engines = default_engines) ?(policies = Sched.all_policies)
+let check ?(engines = Pvvm.Vm.engines) ?(policies = Sched.all_policies)
     ?chaos ?profile ~(prog : Prog.t) (net : net) : Oracle.mismatch list =
   let ms = ref [] in
   let add path what detail = ms := !ms @ [ { Oracle.path; what; detail } ] in
@@ -313,7 +303,7 @@ let check ?(engines = default_engines) ?(policies = Sched.all_policies)
       List.iteri
         (fun pi policy ->
           let path =
-            Printf.sprintf "kpn-%s/%s" (engine_name engine)
+            Printf.sprintf "kpn-%s/%s" (Pvvm.Vm.tag engine)
               (Sched.policy_name policy)
           in
           let profile = if ei = 0 && pi = 0 then profile else None in
@@ -564,7 +554,7 @@ let mutate_config r cfg =
     config; [guided:false] is the uniform-sampling baseline the
     planted-bug comparison measures against.  Everything replays from
     [(seed, case)].  *)
-let campaign ?(guided = true) ?chaos ?(engines = default_engines)
+let campaign ?(guided = true) ?chaos ?(engines = Pvvm.Vm.engines)
     ?(policies = Sched.all_policies) ?(shrink = false) ?(max_findings = 1)
     ?(fn_count = 6)
     ?(on_progress = fun (_ : Harness.progress) -> ()) ~seed ~count () :

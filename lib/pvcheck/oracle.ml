@@ -16,8 +16,15 @@
     - a JIT report claiming zero spilled registers must come with zero
       executed spill operations.
 
+    Every run goes through one run-and-observe path ({!observe_interp},
+    {!run_jit}), and the one place it catches a guest trap catches
+    {!Pvvm.Vm.Trap} — the exception every engine of both executors
+    raises, memory faults and fuel exhaustion included.  {!Migrate} and
+    {!Profcheck} reuse both, and the same {!accounting} comparison.
+
     Paths are named so a harness can subset them ([--engines]):
-    [interp-tw], [interp-th], [serial] (binary encode/decode round-trip),
+    [interp-tw], [interp-th], [interp-aot] (one per {!Pvvm.Vm.tag}),
+    [serial] (binary encode/decode round-trip),
     [text] (printer/parser round-trip), and [jit-MACHINE] for every
     registered machine descriptor. *)
 
@@ -59,23 +66,38 @@ let read_globals (img : Pvvm.Image.t) =
     infinite loop costs milliseconds, not seconds. *)
 let fuel = 2_000_000L
 
+(* the one trap-catching point of every oracle run *)
+let outcome_of f =
+  match f () with v -> Finished v | exception Pvvm.Vm.Trap m -> Trapped m
+
 type interp_run = { iobs : obs; icycles : int64; iinstrs : int64; icalls : int }
 
-let run_interp (prog : Prog.t) (engine : Pvvm.Interp.engine) : interp_run =
-  let img = Pvvm.Image.load (Prog.copy prog) in
-  let it = Pvvm.Interp.create ~fuel ~engine img in
-  let outcome =
-    match Pvvm.Interp.run it "main" [] with
-    | v -> Finished v
-    | exception Pvvm.Interp.Trap m -> Trapped m
-  in
+(** A fresh interpreter on its own image of [prog], under the oracle's
+    fuel. *)
+let interp ?sampler (prog : Prog.t) (engine : Pvvm.Vm.engine) =
+  Pvvm.Interp.create ~fuel ~engine ?sampler (Pvvm.Image.load (Prog.copy prog))
+
+(** Run [f] — an activation of [it] — and observe it: outcome, output,
+    globals and counters. *)
+let observe_interp (it : Pvvm.Interp.t) f : interp_run =
+  let outcome = outcome_of f in
   let st = it.Pvvm.Interp.stats in
   {
-    iobs = { outcome; output = Pvvm.Interp.output it; globals = read_globals img };
+    iobs =
+      {
+        outcome;
+        output = Pvvm.Interp.output it;
+        globals = read_globals it.Pvvm.Interp.img;
+      };
     icycles = st.Pvvm.Interp.cycles;
     iinstrs = st.Pvvm.Interp.instrs;
     icalls = st.Pvvm.Interp.calls;
   }
+
+let run_interp ?sampler (prog : Prog.t) (engine : Pvvm.Vm.engine) :
+    interp_run =
+  let it = interp ?sampler prog engine in
+  observe_interp it (fun () -> Pvvm.Interp.run it "main" [])
 
 type jit_run = {
   jobs : obs;
@@ -86,16 +108,12 @@ type jit_run = {
 }
 
 let run_jit (prog : Prog.t) (machine : Pvmach.Machine.t)
-    (hints : Pvjit.Jit.hints) (engine : Pvvm.Sim.engine) : jit_run =
+    (hints : Pvjit.Jit.hints) (engine : Pvvm.Vm.engine) : jit_run =
   let img = Pvvm.Image.load (Prog.copy prog) in
   let sim, report = Pvjit.Jit.compile_program ~machine ~hints img in
   sim.Pvvm.Sim.engine <- engine;
   sim.Pvvm.Sim.fuel <- fuel;
-  let outcome =
-    match Pvvm.Sim.run sim "main" [] with
-    | v -> Finished v
-    | exception Pvvm.Sim.Trap m -> Trapped m
-  in
+  let outcome = outcome_of (fun () -> Pvvm.Sim.run sim "main" []) in
   let st = sim.Pvvm.Sim.stats in
   {
     jobs = { outcome; output = Pvvm.Sim.output sim; globals = read_globals img };
@@ -149,10 +167,34 @@ let compare_obs ~path (reference : obs) (obs : obs) : mismatch list =
   | None -> ());
   List.rev !ms
 
+(** Counters two runs of one VM must agree on: cycles, instructions, and
+    calls (interpreter) or spill ops (simulator). *)
+let icounts r = (r.icycles, r.iinstrs, Int64.of_int r.icalls)
+
+let jcounts r = (r.jcycles, r.jinstrs, r.jspill_ops)
+
+(** [accounting ~path ~third (rname, rc) (name, c)] — no mismatch when
+    counters [c] of the run named [name] equal the reference's [rc];
+    [third] names the third counter. *)
+let accounting ?(what = "accounting") ~path ~third (rname, (rcy, rin, rx))
+    (name, (cy, ins, x)) : mismatch list =
+  if rcy = cy && rin = ins && rx = x then []
+  else
+    [
+      {
+        path;
+        what;
+        detail =
+          Printf.sprintf "%s %Ld cycles/%Ld instrs/%Ld %s vs %s %Ld/%Ld/%Ld"
+            rname rcy rin rx third name cy ins x;
+      };
+    ]
+
 (* -- the path matrix -------------------------------------------------- *)
 
 let all_paths : string list =
-  [ "interp-tw"; "interp-th"; "interp-aot"; "serial"; "text" ]
+  List.map (fun e -> "interp-" ^ Pvvm.Vm.tag e) Pvvm.Vm.engines
+  @ [ "serial"; "text" ]
   @ List.map
       (fun (m : Pvmach.Machine.t) -> "jit-" ^ m.Pvmach.Machine.name)
       Pvmach.Machine.all
@@ -167,59 +209,29 @@ let check ?(paths = all_paths) (prog : Prog.t) : mismatch list =
   let want p = List.mem p paths in
   let ms = ref [] in
   let add l = ms := !ms @ l in
-  let reference = run_interp prog Pvvm.Interp.Tree_walk in
-  (* threaded interpreter: same observation *and* same accounting *)
-  if want "interp-th" then begin
-    let th = run_interp prog Pvvm.Interp.Threaded in
-    add (compare_obs ~path:"interp-th" reference.iobs th.iobs);
-    if
-      reference.icycles <> th.icycles
-      || reference.iinstrs <> th.iinstrs
-      || reference.icalls <> th.icalls
-    then
-      add
-        [
-          {
-            path = "interp-th";
-            what = "accounting";
-            detail =
-              Printf.sprintf
-                "tree-walk %Ld cycles/%Ld instrs/%d calls vs threaded %Ld/%Ld/%d"
-                reference.icycles reference.iinstrs reference.icalls th.icycles
-                th.iinstrs th.icalls;
-          };
-        ]
-  end;
-  (* AOT-compiled interpreter: same observation and bit-identical
-     accounting on every outcome, fuel exhaustion included *)
-  if want "interp-aot" then begin
-    Pvaot.install ();
-    let aot = run_interp prog Pvvm.Interp.Aot in
-    add (compare_obs ~path:"interp-aot" reference.iobs aot.iobs);
-    if
-      reference.icycles <> aot.icycles
-      || reference.iinstrs <> aot.iinstrs
-      || reference.icalls <> aot.icalls
-    then
-      add
-        [
-          {
-            path = "interp-aot";
-            what = "accounting";
-            detail =
-              Printf.sprintf
-                "tree-walk %Ld cycles/%Ld instrs/%d calls vs aot %Ld/%Ld/%d"
-                reference.icycles reference.iinstrs reference.icalls
-                aot.icycles aot.iinstrs aot.icalls;
-          };
-        ]
-  end;
+  let reference = run_interp prog Pvvm.Vm.Tree_walk in
+  (* threaded and AOT-compiled interpreters: same observation *and*
+     bit-identical accounting on every outcome, fuel exhaustion
+     included *)
+  List.iter
+    (fun engine ->
+      let path = "interp-" ^ Pvvm.Vm.tag engine in
+      if want path then begin
+        if engine = Pvvm.Vm.Aot then Pvaot.install ();
+        let r = run_interp prog engine in
+        add (compare_obs ~path reference.iobs r.iobs);
+        add
+          (accounting ~path ~third:"calls"
+             ("tree-walk", icounts reference)
+             (Pvvm.Vm.engine_name engine, icounts r))
+      end)
+    [ Pvvm.Vm.Threaded; Pvvm.Vm.Aot ];
   (* distribution round-trips re-interpreted with the reference engine *)
   if want "serial" then begin
     match Serial.decode (Serial.encode prog) with
     | decoded ->
       add (compare_obs ~path:"serial" reference.iobs
-             (run_interp decoded Pvvm.Interp.Tree_walk).iobs)
+             (run_interp decoded Pvvm.Vm.Tree_walk).iobs)
     | exception Serial.Corrupt c ->
       add
         [
@@ -234,7 +246,7 @@ let check ?(paths = all_paths) (prog : Prog.t) : mismatch list =
     match Parse.program (Pp.program_to_string prog) with
     | parsed ->
       add (compare_obs ~path:"text" reference.iobs
-             (run_interp parsed Pvvm.Interp.Tree_walk).iobs)
+             (run_interp parsed Pvvm.Vm.Tree_walk).iobs)
     | exception e ->
       add
         [
@@ -247,51 +259,21 @@ let check ?(paths = all_paths) (prog : Prog.t) : mismatch list =
       let path = "jit-" ^ m.Pvmach.Machine.name in
       if want path then begin
         let hints = Pvjit.Jit.Hints_recompute in
-        let th = run_jit prog m hints Pvvm.Sim.Threaded in
+        let th = run_jit prog m hints Pvvm.Vm.Threaded in
         add (compare_obs ~path reference.iobs th.jobs);
-        let tw = run_jit prog m hints Pvvm.Sim.Tree_walk in
+        let tw = run_jit prog m hints Pvvm.Vm.Tree_walk in
         add (compare_obs ~path:(path ^ "-tw") reference.iobs tw.jobs);
         (* the AOT sim engine charges per instruction, so its accounting
            is compared unconditionally (fuel outcomes included) *)
         Pvaot.install ();
-        let ao = run_jit prog m hints Pvvm.Sim.Aot in
+        let ao = run_jit prog m hints Pvvm.Vm.Aot in
         add (compare_obs ~path:(path ^ "-aot") reference.iobs ao.jobs);
-        if
-          th.jcycles <> ao.jcycles
-          || th.jinstrs <> ao.jinstrs
-          || th.jspill_ops <> ao.jspill_ops
-        then
-          add
-            [
-              {
-                path = path ^ "-aot";
-                what = "accounting";
-                detail =
-                  Printf.sprintf
-                    "threaded %Ld cycles/%Ld instrs/%Ld spills vs aot \
-                     %Ld/%Ld/%Ld"
-                    th.jcycles th.jinstrs th.jspill_ops ao.jcycles ao.jinstrs
-                    ao.jspill_ops;
-              };
-            ];
-        if
-          th.jcycles <> tw.jcycles
-          || th.jinstrs <> tw.jinstrs
-          || th.jspill_ops <> tw.jspill_ops
-        then
-          add
-            [
-              {
-                path;
-                what = "accounting";
-                detail =
-                  Printf.sprintf
-                    "threaded %Ld cycles/%Ld instrs/%Ld spills vs tree-walk \
-                     %Ld/%Ld/%Ld"
-                    th.jcycles th.jinstrs th.jspill_ops tw.jcycles tw.jinstrs
-                    tw.jspill_ops;
-              };
-            ];
+        add
+          (accounting ~path:(path ^ "-aot") ~third:"spills"
+             ("threaded", jcounts th) ("aot", jcounts ao));
+        add
+          (accounting ~path ~third:"spills" ("threaded", jcounts th)
+             ("tree-walk", jcounts tw));
         if th.jspilled_regs = 0 && th.jspill_ops <> 0L then
           add
             [

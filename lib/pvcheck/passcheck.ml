@@ -50,7 +50,7 @@ let find_passes names =
 type failure = { stage : string; what : string; detail : string }
 
 let reference (prog : Prog.t) : Oracle.obs =
-  (Oracle.run_interp prog Pvvm.Interp.Tree_walk).Oracle.iobs
+  (Oracle.run_interp prog Pvvm.Vm.Tree_walk).Oracle.iobs
 
 (* A pass application can itself raise (a pass crash is as much a bug as
    a miscompile); fold that into a failure rather than killing the run. *)
@@ -102,7 +102,7 @@ let check ?(passes = all_passes) ?(jit = true) (prog : Prog.t) : failure list =
   (if jit && Verify.program_result q = Ok () then
      let jr =
        Oracle.run_jit q Pvmach.Machine.uchost Pvjit.Jit.Hints_recompute
-         Pvvm.Sim.Threaded
+         Pvvm.Vm.Threaded
      in
      add
        (List.map

@@ -16,8 +16,9 @@
       comparing rankings: one stray cycle or one skipped poll anywhere
       shows up as a byte diff.
 
-    Shapes mirror {!Oracle}: fresh image per run, same fuel ceiling,
-    findings as path/what/detail mismatches. *)
+    Runs are {!Oracle.run_interp}'s — fresh image per run, same fuel
+    ceiling, the one trap-catching path — and findings are its
+    path/what/detail mismatches. *)
 
 open Pvir
 
@@ -27,45 +28,23 @@ open Pvir
 let default_period = 64L
 
 type profiled_run = {
-  probs : Oracle.obs;
-  pcycles : int64;
-  pinstrs : int64;
-  pcalls : int;
+  prun : Oracle.interp_run;
   pdata : string;  (** canonical [Profdata] encoding of the sample set *)
   psamples : int;
 }
 
 let run_profiled ?(period = default_period) (prog : Prog.t)
-    (engine : Pvvm.Interp.engine) : profiled_run =
-  let img = Pvvm.Image.load (Prog.copy prog) in
+    (engine : Pvvm.Vm.engine) : profiled_run =
   let sampler = Pvprof.create ~period () in
-  let it = Pvvm.Interp.create ~fuel:Oracle.fuel ~engine ~sampler img in
-  let outcome =
-    match Pvvm.Interp.run it "main" [] with
-    | v -> Oracle.Finished v
-    | exception Pvvm.Interp.Trap m -> Oracle.Trapped m
-  in
-  let st = it.Pvvm.Interp.stats in
+  let prun = Oracle.run_interp ~sampler prog engine in
   {
-    probs =
-      {
-        Oracle.outcome;
-        output = Pvvm.Interp.output it;
-        globals = Oracle.read_globals img;
-      };
-    pcycles = st.Pvvm.Interp.cycles;
-    pinstrs = st.Pvvm.Interp.instrs;
-    pcalls = st.Pvvm.Interp.calls;
+    prun;
     pdata = Profdata.encode (Pvprof.to_data sampler);
     psamples = Pvprof.samples_taken sampler;
   }
 
-let engines : (string * Pvvm.Interp.engine) list =
-  [
-    ("profiled-tw", Pvvm.Interp.Tree_walk);
-    ("profiled-th", Pvvm.Interp.Threaded);
-    ("profiled-aot", Pvvm.Interp.Aot);
-  ]
+let engines =
+  List.map (fun e -> ("profiled-" ^ Pvvm.Vm.tag e, e)) Pvvm.Vm.engines
 
 (** Run the profiled-vs-unprofiled matrix on [prog].  Returns the
     mismatches (empty = all laws hold). *)
@@ -78,25 +57,11 @@ let check ?(period = default_period) (prog : Prog.t) : Oracle.mismatch list =
       (fun (path, engine) ->
         let plain = Oracle.run_interp prog engine in
         let prof = run_profiled ~period prog engine in
-        add (Oracle.compare_obs ~path plain.Oracle.iobs prof.probs);
-        if
-          plain.Oracle.icycles <> prof.pcycles
-          || plain.Oracle.iinstrs <> prof.pinstrs
-          || plain.Oracle.icalls <> prof.pcalls
-        then
-          add
-            [
-              {
-                Oracle.path;
-                what = "observer-effect";
-                detail =
-                  Printf.sprintf
-                    "plain %Ld cycles/%Ld instrs/%d calls vs profiled \
-                     %Ld/%Ld/%d"
-                    plain.Oracle.icycles plain.Oracle.iinstrs
-                    plain.Oracle.icalls prof.pcycles prof.pinstrs prof.pcalls;
-              };
-            ];
+        add (Oracle.compare_obs ~path plain.Oracle.iobs prof.prun.Oracle.iobs);
+        add
+          (Oracle.accounting ~what:"observer-effect" ~path ~third:"calls"
+             ("plain", Oracle.icounts plain)
+             ("profiled", Oracle.icounts prof.prun));
         (path, prof))
       engines
   in

@@ -11,13 +11,14 @@
       from the engine's [stats] exactly like the threaded engine's [ectx]
       and flushed back when the activation ends (normally or by
       exception);
-    - [fuel] is pre-clamped to [max_int] the same way [ectx_of] clamps
-      it, and exhaustion raises the pre-built [fuel_exn] so the plugin
-      never needs to know the host's exception constructor;
-    - [trap] wraps a message into the host engine's trap exception
-      ([Interp.Trap] or [Sim.Trap], depending on who built the context);
-    - [intr] is the host's intrinsic dispatcher (it owns the output
-      buffer and the exact trap messages for abort/unknown intrinsics).
+    - [fuel] is pre-clamped with {!Vm.clamp}, like the threaded
+      engines' budget, and exhaustion raises the pre-built [fuel_exn],
+      whose message names the executor that built the context;
+    - [out] is the executor's output buffer, handed to {!Vm.intrinsic}.
+
+    Everything else of the run contract the generated code takes from
+    {!Vm} directly: it raises {!Vm.Trap} with the engines' exact
+    messages and calls {!Vm.intrinsic}, as the engines do.
 
     Loaded plugins hand their compiled functions back through the
     {!register}/{!take_pending} pair: [Dynlink.loadfile_private] gives us
@@ -34,9 +35,8 @@ type ctx = {
   mutable spills : int;  (** simulator only; interpreter contexts keep 0 *)
   mutable calls : int;  (** interpreter only; simulator contexts keep 0 *)
   fuel : int;
-  trap : string -> exn;
   fuel_exn : exn;
-  intr : string -> Pvir.Value.t list -> Pvir.Value.t option;
+  out : Buffer.t;  (** printed output of the intrinsics *)
 }
 
 (** One compiled function: same shape as an engine call. *)

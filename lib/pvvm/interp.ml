@@ -25,14 +25,16 @@
       the verifier would reject raises [Invalid_argument] when it is
       first decoded.
 
+    Both engines, and the AOT engine behind {!aot_hook}, keep the run
+    contract of {!Vm}: they raise its one {!Vm.Trap}, call its intrinsic
+    dispatcher and share its engine vocabulary.
+
     Cost model: each interpreted instruction costs [dispatch_cost] cycles
     of decode/dispatch plus the work of the operation itself (vector
     builtins are scalarized lane by lane, as a portable interpreter
     would). *)
 
-exception Trap of string
-
-(** Canonical fuel-exhaustion message: drivers classify a {!Trap}
+(** Canonical fuel-exhaustion message: the tools classify a {!Vm.Trap}
     carrying this text as a *resource limit* rather than a guest
     error. *)
 let fuel_exhausted_msg = "interpreter fuel exhausted (infinite loop?)"
@@ -50,12 +52,7 @@ exception Ckpt_capture of Pvir.Ckpt.frame list ref
     completion). *)
 exception Checkpointed
 
-type engine = Tree_walk | Threaded | Aot
-
-let engine_name = function
-  | Tree_walk -> "tree-walk"
-  | Threaded -> "threaded"
-  | Aot -> "aot"
+type engine = Vm.engine = Tree_walk | Threaded | Aot
 
 type stats = {
   mutable cycles : int64;
@@ -70,7 +67,7 @@ type t = {
   stats : stats;
   dispatch_cost : int;
   profile : Profile.t option;
-  fuel : int64;  (** execution budget; Trap when exhausted *)
+  fuel : int64;  (** execution budget; {!Vm.Trap} when exhausted *)
   mutable engine : engine;
   mutable tr : Pvtrace.Trace.t option;
       (** telemetry sink: spans are emitted only at the public entry
@@ -149,7 +146,7 @@ let charge t n =
   t.stats.cycles <- Int64.add t.stats.cycles (Int64.of_int n);
   t.stats.instrs <- Int64.add t.stats.instrs 1L;
   if Int64.compare t.stats.instrs t.fuel > 0 then
-    raise (Trap fuel_exhausted_msg)
+    raise (Vm.Trap fuel_exhausted_msg)
 
 (* ---------------- checkpoint requests ---------------- *)
 
@@ -230,26 +227,9 @@ let tw_ckpt_frame (frame : frame) block ip dst : Pvir.Ckpt.frame =
 let reg_value frame r =
   match frame.regs.(r) with
   | Some v -> v
-  | None ->
-    raise
-      (Trap
-         (Printf.sprintf "read of uninitialized register r%d in %s" r
-            frame.fn.name))
+  | None -> Vm.trap "read of uninitialized register r%d in %s" r frame.fn.name
 
 let set_reg frame r v = frame.regs.(r) <- Some v
-
-let intrinsic t name (args : Pvir.Value.t list) : Pvir.Value.t option =
-  match (name, args) with
-  | "print_i64", [ v ] ->
-    Buffer.add_string t.out (Int64.to_string (Pvir.Value.to_int64 v));
-    Buffer.add_char t.out '\n';
-    None
-  | "print_f64", [ v ] ->
-    Buffer.add_string t.out (Printf.sprintf "%.6g" (Pvir.Value.to_float v));
-    Buffer.add_char t.out '\n';
-    None
-  | "abort", [] -> raise (Trap "abort called")
-  | _ -> raise (Trap (Printf.sprintf "unknown intrinsic %s" name))
 
 (* ---------------- tree-walking engine (reference) ---------------- *)
 
@@ -262,7 +242,7 @@ let rec tw_call t (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
   t.stats.calls <- t.stats.calls + 1;
   Option.iter (fun p -> Profile.enter p fn.name) t.profile;
   if List.length args <> List.length fn.params then
-    raise (Trap (Printf.sprintf "arity mismatch calling %s" fn.name));
+    Vm.trap "arity mismatch calling %s" fn.name;
   let frame = { regs = Array.make fn.next_reg None; fn; fsp = t.sp } in
   List.iter2 (fun r v -> set_reg frame r v) fn.params args;
   (* shadow stack for the sampler; exceptional unwinds are repaired at
@@ -323,7 +303,7 @@ and exec_instr t frame (i : Pvir.Instr.t) : unit =
     set_reg frame d (Pvir.Value.i64 (Int64.of_int (Image.global_address t.img g)))
   | Pvir.Instr.Binop (op, d, a, b) -> (
     try set_reg frame d (Pvir.Eval.binop op (v a) (v b))
-    with Pvir.Eval.Division_by_zero -> raise (Trap "division by zero"))
+    with Pvir.Eval.Division_by_zero -> Vm.trap "division by zero")
   | Pvir.Instr.Unop (op, d, a) -> set_reg frame d (Pvir.Eval.unop op (v a))
   | Pvir.Instr.Conv (kind, d, a) ->
     let dst_ty = Pvir.Func.reg_type frame.fn d in
@@ -340,25 +320,24 @@ and exec_instr t frame (i : Pvir.Instr.t) : unit =
     Memory.store t.img.mem addr (v src)
   | Pvir.Instr.Alloca (d, bytes) ->
     t.sp <- t.sp - bytes;
-    if t.sp < t.img.globals_end then raise (Trap "stack overflow");
+    if t.sp < t.img.globals_end then Vm.trap "stack overflow";
     set_reg frame d (Pvir.Value.i64 (Int64.of_int t.sp))
   | Pvir.Instr.Call (d, name, args) -> (
     let argv = List.map v args in
     let result =
       match Image.find_func t.img name with
       | Some callee -> tw_call t callee argv
-      | None -> intrinsic t name argv
+      | None -> Vm.intrinsic t.out name argv
     in
     match (d, result) with
     | None, _ -> ()
     | Some d, Some r -> set_reg frame d r
-    | Some _, None ->
-      raise (Trap (Printf.sprintf "call to %s produced no value" name)))
+    | Some _, None -> Vm.trap "call to %s produced no value" name)
   | Pvir.Instr.Splat (d, a) ->
     let n =
       match Pvir.Func.reg_type frame.fn d with
       | Pvir.Types.Vector (_, n) -> n
-      | _ -> raise (Trap "splat destination is not a vector")
+      | _ -> Vm.trap "splat destination is not a vector"
     in
     set_reg frame d (Pvir.Eval.splat n (v a))
   | Pvir.Instr.Extract (d, a, lane) ->
@@ -401,17 +380,13 @@ type ectx = {
           as [eckpt]; mutable because it re-arms after every sample *)
 }
 
-let clamp_to_int v =
-  if Int64.compare v (Int64.of_int max_int) >= 0 then max_int
-  else Int64.to_int v
-
 let ectx_of t =
   {
     ecycles = Int64.to_int t.stats.cycles;
     einstrs = Int64.to_int t.stats.instrs;
-    efuel = clamp_to_int t.fuel;
-    eckpt = (if ckpt_armed t then clamp_to_int t.ckpt_at else max_int);
-    esample = clamp_to_int t.sample_at;
+    efuel = Vm.clamp t.fuel;
+    eckpt = (if ckpt_armed t then Vm.clamp t.ckpt_at else max_int);
+    esample = Vm.clamp t.sample_at;
   }
 
 let flush_ectx t ec =
@@ -422,13 +397,10 @@ let dcharge ec n =
   ec.ecycles <- ec.ecycles + n;
   ec.einstrs <- ec.einstrs + 1;
   if ec.einstrs > ec.efuel then
-    raise (Trap fuel_exhausted_msg)
+    raise (Vm.Trap fuel_exhausted_msg)
 
 (* Registers of the threaded engine live in a plain [Value.t array]; an
-   unwritten slot holds [uninit], a unique block recognized by physical
-   identity, so a register write allocates no [Some] box.  [uninit]
-   never escapes the frame: every read checks for it first. *)
-let uninit : Pvir.Value.t = Pvir.Value.Vec [||]
+   unwritten slot holds {!Vm.uninit}. *)
 
 type dframe = {
   dregs : Pvir.Value.t array;
@@ -436,14 +408,14 @@ type dframe = {
   dsp : int;  (** stack pointer to restore when this frame returns *)
 }
 
-(* Snapshot view of a live threaded frame; [uninit] slots (physical
+(* Snapshot view of a live threaded frame; [Vm.uninit] slots (physical
    identity) are exactly the registers the tree-walker holds as [None],
    so both engines emit the same canonical register list. *)
 let d_ckpt_frame (frame : dframe) block ip dst : Pvir.Ckpt.frame =
   let regs = ref [] in
   for i = Array.length frame.dregs - 1 downto 0 do
     let v = Array.unsafe_get frame.dregs i in
-    if v != uninit then regs := (i, v) :: !regs
+    if v != Vm.uninit then regs := (i, v) :: !regs
   done;
   {
     Pvir.Ckpt.ck_fn = frame.dfn.Pvir.Func.name;
@@ -455,17 +427,14 @@ let d_ckpt_frame (frame : dframe) block ip dst : Pvir.Ckpt.frame =
   }
 
 let dtrap_uninit frame r =
-  raise
-    (Trap
-       (Printf.sprintf "read of uninitialized register r%d in %s" r
-          frame.dfn.Pvir.Func.name))
+  Vm.trap "read of uninitialized register r%d in %s" r frame.dfn.Pvir.Func.name
 
 (* unchecked register access: sound because {!Decode} validates every
    register of a function — parameters, instruction and terminator
    operands — against [0, next_reg), the register file's exact length *)
 let dreg frame r =
   let v = Array.unsafe_get frame.dregs r in
-  if v == uninit then dtrap_uninit frame r else v
+  if v == Vm.uninit then dtrap_uninit frame r else v
 
 let dset frame r v = Array.unsafe_set frame.dregs r v
 
@@ -498,10 +467,10 @@ let rec dcall t ec (df : Decode.dfunc) (args : Pvir.Value.t list) :
   t.stats.calls <- t.stats.calls + 1;
   Option.iter (fun p -> Profile.enter p df.Decode.dname) t.profile;
   if List.length args <> df.Decode.dnparams then
-    raise (Trap (Printf.sprintf "arity mismatch calling %s" df.Decode.dname));
+    Vm.trap "arity mismatch calling %s" df.Decode.dname;
   let frame =
     {
-      dregs = Array.make df.Decode.dnext_reg uninit;
+      dregs = Array.make df.Decode.dnext_reg Vm.uninit;
       dfn = df.Decode.dsrc;
       dsp = t.sp;
     }
@@ -534,7 +503,7 @@ and dexec_block_from t ec (df : Decode.dfunc) frame idx ~ip :
   if ip = 0 && ec.ecycles >= ec.esample then begin
     flush_ectx t ec;
     take_sample t df.Decode.dname blk.Decode.dlabel;
-    ec.esample <- clamp_to_int t.sample_at
+    ec.esample <- Vm.clamp t.sample_at
   end;
   if ip = 0 && ec.einstrs >= ec.eckpt then
     raise (Ckpt_capture (ref [ d_ckpt_frame frame blk.Decode.dlabel 0 None ]));
@@ -572,7 +541,7 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
     dcharge ec cost;
     let vb = dreg frame b in
     try dset frame d (f va vb)
-    with Pvir.Eval.Division_by_zero -> raise (Trap "division by zero"))
+    with Pvir.Eval.Division_by_zero -> Vm.trap "division by zero")
   | Decode.DUnop { cost; op; d; a } ->
     dcharge ec cost;
     dset frame d (Pvir.Eval.unop op (dreg frame a))
@@ -603,7 +572,7 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
   | Decode.DAlloca { cost; d; bytes } ->
     dcharge ec cost;
     t.sp <- t.sp - bytes;
-    if t.sp < t.img.globals_end then raise (Trap "stack overflow");
+    if t.sp < t.img.globals_end then Vm.trap "stack overflow";
     dset frame d (Pvir.Value.i64 (Int64.of_int t.sp))
   | Decode.DCall { cost; d; name; callee; args } -> (
     dcharge ec cost;
@@ -619,13 +588,12 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
     let result =
       match callee with
       | Some fn -> dcall t ec (decoded t fn) argv
-      | None -> intrinsic t name argv
+      | None -> Vm.intrinsic t.out name argv
     in
     match (d, result) with
     | None, _ -> ()
     | Some d, Some r -> dset frame d r
-    | Some _, None ->
-      raise (Trap (Printf.sprintf "call to %s produced no value" name)))
+    | Some _, None -> Vm.trap "call to %s produced no value" name)
   | Decode.DSplat { cost; d; a; n } ->
     dcharge ec cost;
     dset frame d (Pvir.Eval.splat n (dreg frame a))
@@ -688,51 +656,29 @@ let call_untraced t (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
     raise e
 
 (** Call [fn] with [args] under the configured engine.  With a trace sink
-    attached, the whole activation becomes a span on the VM track whose
-    virtual timestamps are the interpreter's own cycle counter. *)
+    attached, the whole activation becomes a {!Vm.span}. *)
 let call t (fn : Pvir.Func.t) (args : Pvir.Value.t list) : Pvir.Value.t option =
-  match t.tr with
-  | None -> call_untraced t fn args
-  | Some tr ->
-    let name = "interp:" ^ fn.Pvir.Func.name in
-    Pvtrace.Trace.begin_at tr ~ts:t.stats.cycles ~tid:Pvtrace.Trace.track_vm
-      ~args:[ ("engine", engine_name t.engine) ]
-      ~cat:"vm" name;
-    (match call_untraced t fn args with
-    | v ->
-      Pvtrace.Trace.end_at tr ~ts:t.stats.cycles ~tid:Pvtrace.Trace.track_vm
-        name;
-      v
-    | exception e ->
-      Pvtrace.Trace.end_at tr ~ts:t.stats.cycles ~tid:Pvtrace.Trace.track_vm
-        ~args:[ ("exception", Printexc.to_string e) ]
-        name;
-      raise e)
+  Vm.span t.tr ~clock:cycles t ~engine:t.engine ~kind:"interp"
+    fn.Pvir.Func.name (fun () -> call_untraced t fn args)
 
 (** Run function [name] with [args].  Returns the result value (if any)
     and leaves cycle/instruction counts in [stats]. *)
 let run t name args =
   match Image.find_func t.img name with
   | Some fn -> call t fn args
-  | None -> raise (Trap (Printf.sprintf "no function %s" name))
+  | None -> Vm.trap "no function %s" name
 
 (* ---------------- resuming a snapshot ---------------- *)
 
-(* The drivers below rebuild live frames from snapshot frames and run
+(* The resume loop below rebuilds live frames from snapshot frames and runs
    each one's continuation: the innermost frame first, its result
    injected into the next frame's pending-call destination, and so on
-   outward.  They assume {!Snapshot.restore} has already validated the
+   outward.  It assumes {!Snapshot.restore} has already validated the
    snapshot against the image and installed memory/sp/counters/output —
    every lookup here is therefore total.  A still-armed checkpoint
    request re-captures normally: the not-yet-resumed outer frames are
    appended verbatim (a suspended frame's state cannot change while its
    callee runs). *)
-
-let tw_frame_of t (f : Pvir.Ckpt.frame) : frame =
-  let fn = Option.get (Image.find_func t.img f.Pvir.Ckpt.ck_fn) in
-  let regs = Array.make fn.Pvir.Func.next_reg None in
-  List.iter (fun (r, v) -> regs.(r) <- Some v) f.Pvir.Ckpt.ck_regs;
-  { regs; fn; fsp = f.Pvir.Ckpt.ck_sp }
 
 (* Result-into-caller injection, replicating the call-return checks of
    the normal path (including the no-value trap, blamed on the callee). *)
@@ -740,68 +686,65 @@ let inject_of (nf : Pvir.Ckpt.frame) callee_name result =
   match (nf.Pvir.Ckpt.ck_dst, result) with
   | None, _ -> None
   | Some d, Some v -> Some (d, v)
-  | Some _, None ->
-    raise (Trap (Printf.sprintf "call to %s produced no value" callee_name))
+  | Some _, None -> Vm.trap "call to %s produced no value" callee_name
 
-let rec tw_resume t inject (frames : Pvir.Ckpt.frame list) :
+(* [run_frame f inject] is the engine's step: rebuild frame [f] in its
+   own form, write the pending call's result, run from
+   [(ck_block, ck_ip)] and return the frame's result. *)
+let rec resume_with t run_frame inject (frames : Pvir.Ckpt.frame list) :
     Pvir.Value.t option =
   match frames with
   | [] -> invalid_arg "Interp.resume: empty frame stack"
   | f :: rest ->
-    let frame = tw_frame_of t f in
-    (match inject with Some (d, v) -> set_reg frame d v | None -> ());
-    let blk = Pvir.Func.find_block frame.fn f.Pvir.Ckpt.ck_block in
     let result =
-      try exec_block_from t frame blk ~ip:f.Pvir.Ckpt.ck_ip
+      try run_frame f inject
       with Ckpt_capture captured ->
         captured := !captured @ rest;
         raise (Ckpt_capture captured)
     in
-    t.sp <- frame.fsp;
+    t.sp <- f.Pvir.Ckpt.ck_sp;
     (match t.sstack with
     | _ :: tl when t.sampler <> None -> t.sstack <- tl
     | _ -> ());
     (match rest with
     | [] -> result
-    | nf :: _ -> tw_resume t (inject_of nf f.Pvir.Ckpt.ck_fn result) rest)
+    | nf :: _ ->
+      resume_with t run_frame (inject_of nf f.Pvir.Ckpt.ck_fn result) rest)
 
-let d_frame_of t (f : Pvir.Ckpt.frame) : Decode.dfunc * dframe =
+let tw_run_frame t (f : Pvir.Ckpt.frame) inject =
+  let fn = Option.get (Image.find_func t.img f.Pvir.Ckpt.ck_fn) in
+  let frame =
+    {
+      regs = Array.make fn.Pvir.Func.next_reg None;
+      fn;
+      fsp = f.Pvir.Ckpt.ck_sp;
+    }
+  in
+  List.iter (fun (r, v) -> set_reg frame r v) f.Pvir.Ckpt.ck_regs;
+  Option.iter (fun (d, v) -> set_reg frame d v) inject;
+  exec_block_from t frame
+    (Pvir.Func.find_block fn f.Pvir.Ckpt.ck_block)
+    ~ip:f.Pvir.Ckpt.ck_ip
+
+let d_run_frame t ec (f : Pvir.Ckpt.frame) inject =
   let fn = Option.get (Image.find_func t.img f.Pvir.Ckpt.ck_fn) in
   let df = decoded t fn in
-  let dregs = Array.make df.Decode.dnext_reg uninit in
-  List.iter (fun (r, v) -> dregs.(r) <- v) f.Pvir.Ckpt.ck_regs;
-  (df, { dregs; dfn = fn; dsp = f.Pvir.Ckpt.ck_sp })
-
-let dblock_index (df : Decode.dfunc) label =
-  let rec go i =
+  let frame =
+    {
+      dregs = Array.make df.Decode.dnext_reg Vm.uninit;
+      dfn = fn;
+      dsp = f.Pvir.Ckpt.ck_sp;
+    }
+  in
+  List.iter (fun (r, v) -> frame.dregs.(r) <- v) f.Pvir.Ckpt.ck_regs;
+  Option.iter (fun (d, v) -> dset frame d v) inject;
+  let rec idx i =
     if i >= Array.length df.Decode.dblocks then
       invalid_arg "Interp.resume: no such block"
-    else if df.Decode.dblocks.(i).Decode.dlabel = label then i
-    else go (i + 1)
+    else if df.Decode.dblocks.(i).Decode.dlabel = f.Pvir.Ckpt.ck_block then i
+    else idx (i + 1)
   in
-  go 0
-
-let rec d_resume t ec inject (frames : Pvir.Ckpt.frame list) :
-    Pvir.Value.t option =
-  match frames with
-  | [] -> invalid_arg "Interp.resume: empty frame stack"
-  | f :: rest ->
-    let df, frame = d_frame_of t f in
-    (match inject with Some (d, v) -> dset frame d v | None -> ());
-    let idx = dblock_index df f.Pvir.Ckpt.ck_block in
-    let result =
-      try dexec_block_from t ec df frame idx ~ip:f.Pvir.Ckpt.ck_ip
-      with Ckpt_capture captured ->
-        captured := !captured @ rest;
-        raise (Ckpt_capture captured)
-    in
-    t.sp <- frame.dsp;
-    (match t.sstack with
-    | _ :: tl when t.sampler <> None -> t.sstack <- tl
-    | _ -> ());
-    (match rest with
-    | [] -> result
-    | nf :: _ -> d_resume t ec (inject_of nf f.Pvir.Ckpt.ck_fn result) rest)
+  dexec_block_from t ec df frame (idx 0) ~ip:f.Pvir.Ckpt.ck_ip
 
 (** Resume a restored call stack under the configured engine.  The AOT
     engine resumes through its threaded fallback: compiled activations
@@ -818,12 +761,12 @@ let resume_frames t (frames : Pvir.Ckpt.frame list) : Pvir.Value.t option =
   try
     let r =
       match t.engine with
-      | Tree_walk -> tw_resume t None frames
+      | Tree_walk -> resume_with t (tw_run_frame t) None frames
       | Threaded | Aot ->
         let ec = ectx_of t in
         Fun.protect
           ~finally:(fun () -> flush_ectx t ec)
-          (fun () -> d_resume t ec None frames)
+          (fun () -> resume_with t (d_run_frame t ec) None frames)
     in
     finish_stack ();
     r

@@ -2,7 +2,8 @@
 
     One address space shared by globals (low addresses) and the call stack
     (growing down from the top).  All accesses are bounds-checked; a fault
-    raises {!Fault} rather than corrupting the host.
+    is a guest trap ({!Vm.Trap} with a [memory fault: ...] message), the
+    same exception every engine raises, rather than host corruption.
 
     Host allocation is capped: like the interpreter's fuel budget, the cap
     is a configurable resource limit ({!default_alloc_limit} bytes unless
@@ -10,14 +11,12 @@
     address space raises the structured {!Limit} instead of OOM-ing the
     host device. *)
 
-exception Fault of string
-
 (** Structured resource-limit trap: the requested allocation exceeds the
-    configured cap (distinct from {!Fault}, which is an in-bounds error of
+    configured cap (distinct from a memory fault, which is an error of
     the guest program). *)
 exception Limit of string
 
-let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
+let fault fmt = Vm.trap ("memory fault: " ^^ fmt)
 
 (** 256 MiB — generous for an embedded-device model, far below anything
     that threatens the host. *)

@@ -25,25 +25,19 @@
       shapes the JIT emits, so the loop has one case per decoded
       instruction and no run-time replay of the tree-walker; a malformed
       shape raises [Invalid_argument] when its function is first
-      decoded. *)
+      decoded.
+
+    Like {!Interp}'s, every engine keeps the run contract of {!Vm}: one
+    {!Vm.Trap}, one intrinsic dispatcher, one engine vocabulary. *)
 
 open Pvmach
 
-exception Trap of string
-
-(** Canonical fuel-exhaustion message: drivers classify a {!Trap}
+(** Canonical fuel-exhaustion message: the tools classify a {!Vm.Trap}
     carrying this text as a *resource limit* rather than a guest
     error. *)
 let fuel_exhausted_msg = "simulation fuel exhausted (infinite loop?)"
 
-let trap fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
-
-type engine = Tree_walk | Threaded | Aot
-
-let engine_name = function
-  | Tree_walk -> "tree-walk"
-  | Threaded -> "threaded"
-  | Aot -> "aot"
+type engine = Vm.engine = Tree_walk | Threaded | Aot
 
 type stats = {
   mutable cycles : int64;
@@ -96,7 +90,7 @@ let charge t n =
   t.stats.cycles <- Int64.add t.stats.cycles (Int64.of_int n);
   t.stats.instrs <- Int64.add t.stats.instrs 1L;
   if Int64.compare t.stats.instrs t.fuel > 0 then
-    trap "%s" fuel_exhausted_msg
+    Vm.trap "%s" fuel_exhausted_msg
 
 (* Register state: physical files per class plus a spill-free virtual
    environment (so pre-RA MIR can be simulated in tests). *)
@@ -127,14 +121,14 @@ let get_reg rf (r : Mir.reg) =
   | Mir.V v -> (
     match Hashtbl.find_opt rf.virt v with
     | Some x -> x
-    | None -> trap "read of uninitialized virtual register v%d" v)
+    | None -> Vm.trap "read of uninitialized virtual register v%d" v)
   | Mir.P (cls, i) -> (
     let file = class_file rf cls in
     if i < 0 || i >= Array.length file then
-      trap "physical register index %d out of range" i;
+      Vm.trap "physical register index %d out of range" i;
     match file.(i) with
     | Some x -> x
-    | None -> trap "read of uninitialized register %s" (Mir.reg_to_string r))
+    | None -> Vm.trap "read of uninitialized register %s" (Mir.reg_to_string r))
 
 let set_reg rf (r : Mir.reg) v =
   match r with
@@ -142,7 +136,7 @@ let set_reg rf (r : Mir.reg) v =
   | Mir.P (cls, i) ->
     let file = class_file rf cls in
     if i < 0 || i >= Array.length file then
-      trap "physical register index %d out of range" i;
+      Vm.trap "physical register index %d out of range" i;
     file.(i) <- Some v
 
 type frame = {
@@ -152,19 +146,6 @@ type frame = {
   fn : Mir.func;
 }
 
-let intrinsic t name (args : Pvir.Value.t list) : Pvir.Value.t option =
-  match (name, args) with
-  | "print_i64", [ v ] ->
-    Buffer.add_string t.out (Int64.to_string (Pvir.Value.to_int64 v));
-    Buffer.add_char t.out '\n';
-    None
-  | "print_f64", [ v ] ->
-    Buffer.add_string t.out (Printf.sprintf "%.6g" (Pvir.Value.to_float v));
-    Buffer.add_char t.out '\n';
-    None
-  | "abort", [] -> trap "abort called"
-  | _ -> trap "unknown intrinsic %s" name
-
 (* ---------------- tree-walking engine (reference) ---------------- *)
 
 let rec tw_call t (fn : Mir.func) (args : Pvir.Value.t list) :
@@ -172,10 +153,10 @@ let rec tw_call t (fn : Mir.func) (args : Pvir.Value.t list) :
   charge t t.machine.Machine.call_cost;
   let n_reg = List.length fn.mparams in
   if List.length args <> n_reg + List.length fn.marg_slots then
-    trap "arity mismatch calling %s" fn.mname;
+    Vm.trap "arity mismatch calling %s" fn.mname;
   let saved_sp = t.sp in
   t.sp <- t.sp - fn.frame_size;
-  if t.sp < t.img.globals_end then trap "stack overflow in %s" fn.mname;
+  if t.sp < t.img.globals_end then Vm.trap "stack overflow in %s" fn.mname;
   let frame =
     { rf = new_regfile t.machine; fp = t.sp; slots = Hashtbl.create 16; fn }
   in
@@ -215,7 +196,8 @@ and exec_inst t frame (i : Mir.inst) : unit =
   let dst () =
     match i.dst with
     | Some d -> d
-    | None -> trap "instruction %s lacks a destination" (Mir.inst_to_string i)
+    | None ->
+      Vm.trap "instruction %s lacks a destination" (Mir.inst_to_string i)
   in
   (* operands: the immediate, when present, is always the last operand *)
   let operand k =
@@ -224,7 +206,7 @@ and exec_inst t frame (i : Mir.inst) : unit =
     else
       match i.imm with
       | Some value when k = n_regs -> value
-      | _ -> trap "instruction %s lacks operand %d" (Mir.inst_to_string i) k
+      | _ -> Vm.trap "instruction %s lacks operand %d" (Mir.inst_to_string i) k
   in
   let src1 () = operand 0 in
   let src2 () = operand 1 in
@@ -233,7 +215,7 @@ and exec_inst t frame (i : Mir.inst) : unit =
   | Mir.Mmov -> set_reg rf (dst ()) (src1 ())
   | Mir.Mbin op -> (
     try set_reg rf (dst ()) (Pvir.Eval.binop op (src1 ()) (src2 ()))
-    with Pvir.Eval.Division_by_zero -> trap "division by zero")
+    with Pvir.Eval.Division_by_zero -> Vm.trap "division by zero")
   | Mir.Mun op -> set_reg rf (dst ()) (Pvir.Eval.unop op (src1 ()))
   | Mir.Mconv kind -> set_reg rf (dst ()) (Pvir.Eval.conv kind i.ty (src1 ()))
   | Mir.Mcmp op -> set_reg rf (dst ()) (Pvir.Eval.cmp op (src1 ()) (src2 ()))
@@ -249,7 +231,7 @@ and exec_inst t frame (i : Mir.inst) : unit =
       match (i.srcs, i.imm) with
       | [ s; b ], None -> (v s, v b)
       | [ b ], Some value -> (value, v b)
-      | _ -> trap "store expects (value, base)"
+      | _ -> Vm.trap "store expects (value, base)"
     in
     let addr = Int64.to_int (Pvir.Value.to_int64 base) + off in
     Memory.store t.img.mem addr value
@@ -258,13 +240,13 @@ and exec_inst t frame (i : Mir.inst) : unit =
   | Mir.Mframe_ld slot -> (
     match Hashtbl.find_opt frame.slots slot with
     | Some value -> set_reg rf (dst ()) value
-    | None -> trap "reload of empty spill slot %d in %s" slot frame.fn.mname)
+    | None -> Vm.trap "reload of empty spill slot %d in %s" slot frame.fn.mname)
   | Mir.Mframe_st slot -> Hashtbl.replace frame.slots slot (src1 ())
   | Mir.Msplat -> (
     match i.ty with
     | Pvir.Types.Vector (_, n) ->
       set_reg rf (dst ()) (Pvir.Eval.splat n (src1 ()))
-    | _ -> trap "splat at non-vector type")
+    | _ -> Vm.trap "splat at non-vector type")
   | Mir.Mextract lane -> set_reg rf (dst ()) (Pvir.Eval.extract (src1 ()) lane)
   | Mir.Mreduce op -> set_reg rf (dst ()) (Pvir.Eval.reduce op (src1 ()))
   | Mir.Mcall name -> (
@@ -272,12 +254,12 @@ and exec_inst t frame (i : Mir.inst) : unit =
     let result =
       match Hashtbl.find_opt t.code name with
       | Some ce -> tw_call t ce.cfn argv
-      | None -> intrinsic t name argv
+      | None -> Vm.intrinsic t.out name argv
     in
     match (i.dst, result) with
     | None, _ -> ()
     | Some d, Some value -> set_reg rf d value
-    | Some _, None -> trap "call to %s produced no value" name)
+    | Some _, None -> Vm.trap "call to %s produced no value" name)
 
 (* ---------------- direct-threaded engine ---------------- *)
 
@@ -296,9 +278,7 @@ let ectx_of t =
     scycles = Int64.to_int t.stats.cycles;
     sinstrs = Int64.to_int t.stats.instrs;
     sspill = Int64.to_int t.stats.spill_ops;
-    sfuel =
-      (if Int64.compare t.fuel (Int64.of_int max_int) >= 0 then max_int
-       else Int64.to_int t.fuel);
+    sfuel = Vm.clamp t.fuel;
   }
 
 let flush_ectx t ec =
@@ -310,14 +290,11 @@ let scharge ec n =
   ec.scycles <- ec.scycles + n;
   ec.sinstrs <- ec.sinstrs + 1;
   if ec.sinstrs > ec.sfuel then
-    raise (Trap fuel_exhausted_msg)
+    raise (Vm.Trap fuel_exhausted_msg)
 
 (* Frames of the threaded engine: virtual registers and spill slots in
-   plain arrays (indexed by {!Mdecode}'s dense renumbering).  An
-   unwritten slot holds [uninit], a unique block recognized by physical
-   identity, so a register write allocates no [Some] box; [uninit]
-   never escapes the frame because every read checks for it first. *)
-let uninit : Pvir.Value.t = Pvir.Value.Vec [||]
+   plain arrays (indexed by {!Mdecode}'s dense renumbering); an unwritten
+   slot holds {!Vm.uninit}. *)
 
 type sframe = {
   sgpr : Pvir.Value.t array;
@@ -338,15 +315,16 @@ let sget frame (r : Mir.reg) =
   match r with
   | Mir.V v ->
     let x = Array.unsafe_get frame.svirt v in
-    if x == uninit then trap "read of uninitialized virtual register v%d" v
+    if x == Vm.uninit then
+      Vm.trap "read of uninitialized virtual register v%d" v
     else x
   | Mir.P (cls, i) ->
     let file = sclass_file frame cls in
     if i < 0 || i >= Array.length file then
-      trap "physical register index %d out of range" i;
+      Vm.trap "physical register index %d out of range" i;
     let x = file.(i) in
-    if x == uninit then
-      trap "read of uninitialized register %s" (Mir.reg_to_string r)
+    if x == Vm.uninit then
+      Vm.trap "read of uninitialized register %s" (Mir.reg_to_string r)
     else x
 
 let sset frame (r : Mir.reg) v =
@@ -355,7 +333,7 @@ let sset frame (r : Mir.reg) v =
   | Mir.P (cls, i) ->
     let file = sclass_file frame cls in
     if i < 0 || i >= Array.length file then
-      trap "physical register index %d out of range" i;
+      Vm.trap "physical register index %d out of range" i;
     file.(i) <- v
 
 (* Operand read: a register or a decode-time-folded immediate. *)
@@ -383,17 +361,18 @@ let rec scall t ec (df : Mdecode.dfunc) (args : Pvir.Value.t list) :
   scharge ec t.machine.Machine.call_cost;
   let n_reg = df.Mdecode.snreg in
   if List.length args <> n_reg + Array.length df.Mdecode.sarg_idx then
-    trap "arity mismatch calling %s" df.Mdecode.sname;
+    Vm.trap "arity mismatch calling %s" df.Mdecode.sname;
   let saved_sp = t.sp in
   t.sp <- t.sp - df.Mdecode.sframe_size;
-  if t.sp < t.img.globals_end then trap "stack overflow in %s" df.Mdecode.sname;
+  if t.sp < t.img.globals_end then
+    Vm.trap "stack overflow in %s" df.Mdecode.sname;
   let frame =
     {
-      sgpr = Array.make (max 1 t.machine.Machine.int_regs) uninit;
-      sfpr = Array.make (max 1 t.machine.Machine.fp_regs) uninit;
-      svec = Array.make (max 1 t.machine.Machine.vec_regs) uninit;
-      svirt = Array.make df.Mdecode.snvirt uninit;
-      sslots = Array.make df.Mdecode.snslots uninit;
+      sgpr = Array.make (max 1 t.machine.Machine.int_regs) Vm.uninit;
+      sfpr = Array.make (max 1 t.machine.Machine.fp_regs) Vm.uninit;
+      svec = Array.make (max 1 t.machine.Machine.vec_regs) Vm.uninit;
+      svirt = Array.make df.Mdecode.snvirt Vm.uninit;
+      sslots = Array.make df.Mdecode.snslots Vm.uninit;
       sfp = t.sp;
       sdf = df;
     }
@@ -445,7 +424,7 @@ and sexec_inst t ec frame (i : Mdecode.dinst) : unit =
     let vb = sopnd frame b in
     let va = sopnd frame a in
     try sset frame d (f va vb)
-    with Pvir.Eval.Division_by_zero -> trap "division by zero")
+    with Pvir.Eval.Division_by_zero -> Vm.trap "division by zero")
   | Mdecode.SUn { cost; op; d; a } ->
     scharge ec cost;
     sset frame d (Pvir.Eval.unop op (sopnd frame a))
@@ -480,8 +459,8 @@ and sexec_inst t ec frame (i : Mdecode.dinst) : unit =
     scharge ec cost;
     ec.sspill <- ec.sspill + 1;
     let value = Array.unsafe_get frame.sslots idx in
-    if value == uninit then
-      trap "reload of empty spill slot %d in %s" slot frame.sdf.Mdecode.sname
+    if value == Vm.uninit then
+      Vm.trap "reload of empty spill slot %d in %s" slot frame.sdf.Mdecode.sname
     else sset frame d value
   | Mdecode.SFrameSt { cost; idx; src } ->
     scharge ec cost;
@@ -510,12 +489,12 @@ and sexec_inst t ec frame (i : Mdecode.dinst) : unit =
     let result =
       match Hashtbl.find_opt t.code name with
       | Some ce -> scall t ec (decoded t ce) argv
-      | None -> intrinsic t name argv
+      | None -> Vm.intrinsic t.out name argv
     in
     match (d, result) with
     | None, _ -> ()
     | Some d, Some value -> sset frame d value
-    | Some _, None -> trap "call to %s produced no value" name)
+    | Some _, None -> Vm.trap "call to %s produced no value" name)
 
 (* ---------------- public entry points ---------------- *)
 
@@ -546,26 +525,9 @@ let call_untraced t (fn : Mir.func) (args : Pvir.Value.t list) :
   | Threaded -> threaded_call t fn args
   | Aot -> !aot_hook t fn args
 
-(* one span per top-level activation on the VM track, timestamped by the
-   simulator's own cycle counter (the deterministic virtual clock) *)
+(* one {!Vm.span} per top-level activation *)
 let traced t name f =
-  match t.tr with
-  | None -> f ()
-  | Some tr ->
-    let sname = "sim:" ^ name in
-    Pvtrace.Trace.begin_at tr ~ts:t.stats.cycles ~tid:Pvtrace.Trace.track_vm
-      ~args:[ ("engine", engine_name t.engine) ]
-      ~cat:"vm" sname;
-    (match f () with
-    | v ->
-      Pvtrace.Trace.end_at tr ~ts:t.stats.cycles ~tid:Pvtrace.Trace.track_vm
-        sname;
-      v
-    | exception e ->
-      Pvtrace.Trace.end_at tr ~ts:t.stats.cycles ~tid:Pvtrace.Trace.track_vm
-        ~args:[ ("exception", Printexc.to_string e) ]
-        sname;
-      raise e)
+  Vm.span t.tr ~clock:cycles t ~engine:t.engine ~kind:"sim" name f
 
 (** Call [fn] with [args] under the configured engine.  A function not in
     the code cache is decoded on the fly (uncached).  With a trace sink
@@ -578,16 +540,8 @@ let call t (fn : Mir.func) (args : Pvir.Value.t list) : Pvir.Value.t option =
 let run t name args =
   traced t name (fun () ->
       match Hashtbl.find_opt t.code name with
-      | Some ce -> (
-        match t.engine with
-        | Tree_walk -> tw_call t ce.cfn args
-        | Threaded ->
-          let ec = ectx_of t in
-          Fun.protect
-            ~finally:(fun () -> flush_ectx t ec)
-            (fun () -> scall t ec (decoded t ce) args)
-        | Aot -> !aot_hook t ce.cfn args)
-      | None -> trap "no compiled code for %s" name)
+      | Some ce -> call_untraced t ce.cfn args
+      | None -> Vm.trap "no compiled code for %s" name)
 
 (** Absorb this simulator's counters into a metrics registry:
     cycles/instructions/spill traffic plus fuel and allocation headroom.

@@ -131,7 +131,7 @@ let restore (t : Interp.t) (snap : Pvir.Ckpt.t) : unit =
     completion under [t]'s engine, returning what the original
     activation's entry function returns.  Raises {!Interp.Checkpointed}
     if a newly armed checkpoint trips during the resumed run, and
-    {!Interp.Trap} exactly where the unmigrated run would. *)
+    {!Vm.Trap} exactly where the unmigrated run would. *)
 let resume (t : Interp.t) (snap : Pvir.Ckpt.t) : Pvir.Value.t option =
   restore t snap;
   Interp.resume_frames t snap.ck_frames

@@ -87,7 +87,7 @@ let fuel_trap_counters engine (k : Kernels.t) fuel =
   let _, it = kernel_interp ~fuel engine k in
   (match Pvvm.Interp.run it k.Kernels.entry (Harness.args k 256) with
   | _ -> Alcotest.failf "%s: fuel %Ld did not run out" k.Kernels.name fuel
-  | exception Pvvm.Interp.Trap m ->
+  | exception Pvvm.Vm.Trap m ->
     Alcotest.(check string) "fuel trap" Pvvm.Interp.fuel_exhausted_msg m);
   let st = it.Pvvm.Interp.stats in
   (st.Pvvm.Interp.cycles, st.Pvvm.Interp.instrs, st.Pvvm.Interp.calls)

@@ -97,7 +97,7 @@ let run_plain ~engine prog =
   let r =
     match Pvvm.Interp.run it "main" [] with
     | v -> Ok v
-    | exception Pvvm.Interp.Trap m -> Error m
+    | exception Pvvm.Vm.Trap m -> Error m
   in
   (obs_of it r, Pvvm.Memory.contents it.Pvvm.Interp.img.Pvvm.Image.mem)
 
@@ -147,11 +147,11 @@ let test_cross_engine_identity src () =
             | Pvvm.Snapshot.Checkpointed s0, Pvvm.Snapshot.Checkpointed s1 ->
               Alcotest.(check string)
                 (Printf.sprintf "snapshot bytes at %d (%s)" at
-                   (Pvvm.Interp.engine_name e))
+                   (Pvvm.Vm.engine_name e))
                 (Pvir.Ckpt.encode s0) (Pvir.Ckpt.encode s1)
             | _ ->
               Alcotest.failf "engines disagree on completion at %d (%s)" at
-                (Pvvm.Interp.engine_name e))
+                (Pvvm.Vm.engine_name e))
           rest
       | [] -> assert false)
     (kill_points prog)
@@ -181,12 +181,12 @@ let test_migrate_matrix src () =
                 let r =
                   match Pvvm.Snapshot.resume it snap with
                   | v -> Ok v
-                  | exception Pvvm.Interp.Trap m -> Error m
+                  | exception Pvvm.Vm.Trap m -> Error m
                 in
                 let what =
                   Printf.sprintf "at %d, %s->%s" at
-                    (Pvvm.Interp.engine_name src_engine)
-                    (Pvvm.Interp.engine_name dst_engine)
+                    (Pvvm.Vm.engine_name src_engine)
+                    (Pvvm.Vm.engine_name dst_engine)
                 in
                 check_obs what reference (obs_of it r);
                 Alcotest.(check string) (what ^ ": memory") ref_mem
@@ -325,7 +325,7 @@ let test_completion_wins () =
       match checkpoint_at ~engine:e prog (Int64.add n 1L) with
       | Pvvm.Snapshot.Completed _ -> ()
       | Pvvm.Snapshot.Checkpointed _ ->
-        Alcotest.failf "%s checkpointed past the end" (Pvvm.Interp.engine_name e))
+        Alcotest.failf "%s checkpointed past the end" (Pvvm.Vm.engine_name e))
     engines
 
 let () =

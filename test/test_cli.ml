@@ -241,6 +241,8 @@ let test_engine_selection () =
       check bool_t "message lists the valid engines" true
         (contains err "valid engines: tree, threaded, aot"))
 
+(* Guest traps — a memory fault included — exit 7 with the same message
+   on the simulator and the interpreter, under every engine. *)
 let test_exit_code_trap () =
   let src = Filename.temp_file "cli" ".mc" in
   let out = Filename.temp_file "cli" ".pvir" in
@@ -249,13 +251,31 @@ let test_exit_code_trap () =
       Sys.remove src;
       if Sys.file_exists out then Sys.remove out)
     (fun () ->
-      write_file src "i64 main() { i64 z = 0; return 5 / z; }";
-      let code, _ = run (Printf.sprintf "%s %s -o %s" pvsc src out) in
-      check int_t "compiles" 0 code;
-      let code, _ = run (Printf.sprintf "%s %s -e main" pvrun out) in
-      check int_t "division by zero is exit 7" 7 code;
-      let code, _ = run (Printf.sprintf "%s %s -e main --interp" pvrun out) in
-      check int_t "interpreted trap is also exit 7" 7 code)
+      List.iter
+        (fun (source, msg) ->
+          write_file src source;
+          let code, _ = run (Printf.sprintf "%s %s -o %s" pvsc src out) in
+          check int_t "compiles" 0 code;
+          List.iter
+            (fun engine ->
+              List.iter
+                (fun extra ->
+                  let what = Printf.sprintf "%s under %s%s" msg engine extra in
+                  let code, err =
+                    run_err
+                      (Printf.sprintf "%s %s -e main --engine %s%s" pvrun out
+                         engine extra)
+                  in
+                  check int_t (what ^ ": exit 7") 7 code;
+                  check bool_t (what ^ ": message") true (contains err msg))
+                [ ""; " --interp" ])
+            [ "tree"; "tree-walk"; "threaded"; "aot" ])
+        [
+          ("i64 main() { i64 z = 0; return 5 / z; }", "trap: division by zero");
+          ( "i64 a[4]; i64 main() { return a[300000]; }",
+            "trap: memory fault: access [2400008, 2400016) outside memory of \
+             1048576 bytes" );
+        ])
 
 let test_exit_code_io () =
   (* cmdliner validates `pos file` existence itself (exit 124); reach our

@@ -141,7 +141,7 @@ let run_interp ~engine src =
   let r =
     match Pvvm.Interp.run it "main" [] with
     | v -> Value v
-    | exception Pvvm.Interp.Trap m -> Trapped m
+    | exception Pvvm.Vm.Trap m -> Trapped m
   in
   ( r,
     Pvvm.Interp.output it,
@@ -168,7 +168,7 @@ let run_sim ~engine ~machine src =
   let r =
     match Pvvm.Sim.run sim "main" [] with
     | v -> Value v
-    | exception Pvvm.Sim.Trap m -> Trapped m
+    | exception Pvvm.Vm.Trap m -> Trapped m
   in
   ( r,
     Pvvm.Sim.output sim,
@@ -222,7 +222,7 @@ let test_uninitialized_register () =
     let it = Pvvm.Interp.create ~engine (Pvvm.Image.load p) in
     match Pvvm.Interp.run it "main" [] with
     | _ -> Alcotest.fail "uninitialized read did not trap"
-    | exception Pvvm.Interp.Trap m -> m
+    | exception Pvvm.Vm.Trap m -> m
   in
   let m0 = run Pvvm.Interp.Tree_walk and m1 = run Pvvm.Interp.Threaded in
   check "same message" true (String.equal m0 m1);
@@ -271,7 +271,7 @@ let test_empty_spill_slot () =
     in
     match Pvvm.Sim.run sim "spilly" [] with
     | _ -> Alcotest.fail "empty spill reload did not trap"
-    | exception Pvvm.Sim.Trap m -> m
+    | exception Pvvm.Vm.Trap m -> m
   in
   let m0 = run Pvvm.Sim.Tree_walk and m1 = run Pvvm.Sim.Threaded in
   check "same message" true (String.equal m0 m1);
@@ -289,28 +289,44 @@ let test_malformed_mir_rejected () =
           [ Pvmach.Mir.inst (Pvmach.Mir.Mli (Pvir.Value.i64 1L)) Pvir.Types.i64 ]
       in
       match Pvvm.Sim.run sim "nodst" [] with
-      | _ -> Alcotest.failf "%s ran malformed MIR" (Pvvm.Sim.engine_name engine)
+      | _ -> Alcotest.failf "%s ran malformed MIR" (Pvvm.Vm.engine_name engine)
       | exception Invalid_argument m ->
         check
-          (Pvvm.Sim.engine_name engine ^ " names the missing destination")
+          (Pvvm.Vm.engine_name engine ^ " names the missing destination")
           true
           (contains_sub m "lacks a destination"))
     [ Pvvm.Sim.Threaded; Pvvm.Sim.Aot ]
 
+(* Every engine, selected the way the tools select it: its command-line
+   spelling parses back to it. *)
 let test_fuel_exhaustion () =
+  Pvaot.install ();
   let run engine =
     let p = Core.Splitc.frontend "i64 main() { for (;;) { } return 0; }" in
     let it = Pvvm.Interp.create ~engine ~fuel:10_000L (Pvvm.Image.load p) in
     match Pvvm.Interp.run it "main" [] with
     | _ -> Alcotest.fail "infinite loop terminated"
-    | exception Pvvm.Interp.Trap m ->
+    | exception Pvvm.Vm.Trap m ->
       (m, it.Pvvm.Interp.stats.Pvvm.Interp.instrs)
   in
-  let m0, i0 = run Pvvm.Interp.Tree_walk
-  and m1, i1 = run Pvvm.Interp.Threaded in
-  check "same message" true (String.equal m0 m1);
-  (* the trap must fire after the exact same number of instructions *)
-  check "same trap point" true (Int64.equal i0 i1)
+  let runs =
+    List.map
+      (fun e ->
+        let spelling = Pvvm.Vm.cli_name e in
+        match Core.Cli.engine_of_string spelling with
+        | Ok parsed ->
+          check (spelling ^ " parses back") true (parsed = e);
+          run parsed
+        | Error m -> Alcotest.fail m)
+      Pvvm.Vm.engines
+  in
+  let m0, i0 = List.hd runs in
+  List.iter
+    (fun (m, i) ->
+      check "same message" true (String.equal m0 m);
+      (* the trap must fire after the exact same number of instructions *)
+      check "same trap point" true (Int64.equal i0 i))
+    runs
 
 let test_division_by_zero_parity () =
   let src = "i64 main() { i64 z = 0; print_i64(7); return 5 / z; }" in

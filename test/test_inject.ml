@@ -207,7 +207,7 @@ let test_sim_fuel_trap_parity () =
     sim.Pvvm.Sim.fuel <- 10_000L;
     match Pvvm.Sim.run sim "main" [] with
     | _ -> Alcotest.fail "infinite loop terminated"
-    | exception Pvvm.Sim.Trap m -> (m, sim.Pvvm.Sim.stats.Pvvm.Sim.instrs)
+    | exception Pvvm.Vm.Trap m -> (m, sim.Pvvm.Sim.stats.Pvvm.Sim.instrs)
   in
   let m0, i0 = run Pvvm.Sim.Tree_walk and m1, i1 = run Pvvm.Sim.Threaded in
   check Alcotest.string "same trap message" m0 m1;
@@ -256,11 +256,11 @@ let test_classify_taxonomy () =
   check int_t "verify" 4 (code (Pvir.Verify.Error "x"));
   check int_t "link" 5 (code (Pvir.Link.Error "x"));
   check int_t "jit" 6 (code (Pvjit.Regalloc.Error "x"));
-  check int_t "trap" 7 (code (Pvvm.Interp.Trap "division by zero"));
+  check int_t "trap" 7 (code (Pvvm.Vm.Trap "division by zero"));
   check int_t "interp fuel = resource limit" 8
-    (code (Pvvm.Interp.Trap Pvvm.Interp.fuel_exhausted_msg));
+    (code (Pvvm.Vm.Trap Pvvm.Interp.fuel_exhausted_msg));
   check int_t "sim fuel = resource limit" 8
-    (code (Pvvm.Sim.Trap Pvvm.Sim.fuel_exhausted_msg));
+    (code (Pvvm.Vm.Trap Pvvm.Sim.fuel_exhausted_msg));
   check int_t "memory cap = resource limit" 8
     (code (Pvvm.Memory.Limit "x"));
   check int_t "io" 9 (code (Sys_error "x"));

@@ -183,7 +183,7 @@ let run_with_fuel ~fuel ~engine prog =
   match Pvvm.Interp.run it "main" [] with
   | Some v -> Ok (Pvir.Value.to_string v)
   | None -> Ok "(none)"
-  | exception Pvvm.Interp.Trap m -> Error m
+  | exception Pvvm.Vm.Trap m -> Error m
 
 let test_recursive_fuel_regression () =
   for seed = 0 to 4 do

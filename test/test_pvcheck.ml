@@ -79,35 +79,65 @@ let test_short_campaign_green () =
       f.Pvcheck.Harness.stage f.Pvcheck.Harness.what f.Pvcheck.Harness.detail)
 
 (* The full path matrix — every engine, AOT included, and every machine —
-   over six fixed programs: five recursive ones the JIT's immediate
-   folding once miscompiled (it folded parameters as constants), and the
-   source of the LICM reproducer in test_pvopt.  Accounting is compared
-   on every outcome, fuel traps included. *)
-let fixed_seeds =
-  [
-    (`Rec, 801207);
-    (`Rec, 802347);
-    (`Rec, 802383);
-    (`Rec, 500241);
-    (`Rec, 501771);
-    (`Dag, 301816);
-  ]
+   over eight fixed programs: five recursive ones the JIT's immediate
+   folding once miscompiled (it folded parameters as constants), the
+   source of the LICM reproducer in test_pvopt, and two memory faults (a
+   null load and an out-of-range store), which once escaped every oracle
+   as a raw exception instead of being compared as traps.  Accounting is
+   compared on every outcome, fuel traps included, and the migration and
+   profiler oracles run on each program too. *)
+let null_load =
+  {|program "null_load"
+
+func @main() : i64 {
+  reg r0 : i64
+  reg r1 : i64
+  block 0:
+    r0 = const 0:i64
+    r1 = load i64 r0 + 0
+    ret r1
+}
+|}
+
+let wild_store =
+  {|program "wild_store"
+
+func @main() : i64 {
+  reg r0 : i64
+  reg r1 : i64
+  block 0:
+    r0 = const 99999999:i64
+    r1 = const 1:i64
+    store i64 r1, r0 + 0
+    ret r1
+}
+|}
+
+let fixed_programs =
+  List.map
+    (fun seed ->
+      (Printf.sprintf "seed %d" seed, Pvcheck.Gen.program_recursive ~seed))
+    [ 801207; 802347; 802383; 500241; 501771 ]
+  @ [
+      ("seed 301816", Pvcheck.Gen.program ~seed:301816);
+      ("null load", Parse.program null_load);
+      ("out-of-range store", Parse.program wild_store);
+    ]
 
 let test_fixed_seeds_full_matrix () =
   Pvaot.install ();
   List.iter
-    (fun (shape, seed) ->
-      let prog =
-        match shape with
-        | `Rec -> Pvcheck.Gen.program_recursive ~seed
-        | `Dag -> Pvcheck.Gen.program ~seed
+    (fun (name, prog) ->
+      let fail oracle (m : Pvcheck.Oracle.mismatch) =
+        Alcotest.failf "%s, %s: %s %s: %s" name oracle m.Pvcheck.Oracle.path
+          m.Pvcheck.Oracle.what m.Pvcheck.Oracle.detail
       in
-      match Pvcheck.Oracle.check prog with
-      | [] -> ()
-      | m :: _ ->
-        Alcotest.failf "seed %d: %s %s: %s" seed m.Pvcheck.Oracle.path
-          m.Pvcheck.Oracle.what m.Pvcheck.Oracle.detail)
-    fixed_seeds
+      List.iter (fail "oracle") (Pvcheck.Oracle.check prog);
+      for kill_seed = 0 to 3 do
+        List.iter (fail "migrate") (Pvcheck.Migrate.check ~kill_seed prog)
+      done;
+      List.iter (fail "profcheck") (Pvcheck.Profcheck.check prog))
+    fixed_programs
 
 let test_replay_seed_matches () =
   (* the (run seed, case index) -> generator seed mapping the CLI prints

@@ -94,7 +94,7 @@ let test_constfold_keeps_div_by_zero () =
   List.iter (fun fn -> ignore (Pvopt.Constfold.run fn)) p.Pvir.Prog.funcs;
   let img = Pvvm.Image.load p in
   let it = Pvvm.Interp.create img in
-  Alcotest.check_raises "still traps" (Pvvm.Interp.Trap "division by zero")
+  Alcotest.check_raises "still traps" (Pvvm.Vm.Trap "division by zero")
     (fun () -> ignore (Pvvm.Interp.run it "main" []))
 
 (* ---------------- copyprop + dce ---------------- *)

@@ -31,7 +31,7 @@ let test_memory_bounds () =
   List.iter
     (fun addr ->
       match Pvvm.Memory.load m addr Pvir.Types.i64 with
-      | exception Pvvm.Memory.Fault _ -> ()
+      | exception Pvvm.Vm.Trap _ -> ()
       | _ -> Alcotest.fail "out-of-bounds access allowed")
     [ -8; 0; 57; 64; 1000000 ]
 
@@ -77,7 +77,7 @@ let test_image_oom () =
   let p = Pvir.Prog.create "t" in
   Pvir.Prog.add_global p "big" Pvir.Types.I64 100000;
   match Pvvm.Image.load ~mem_size:1024 p with
-  | exception Pvvm.Memory.Fault _ -> ()
+  | exception Pvvm.Vm.Trap _ -> ()
   | _ -> Alcotest.fail "oversized globals loaded"
 
 (* ---------------- interpreter ---------------- *)
@@ -103,8 +103,7 @@ let test_interp_traps () =
   List.iter
     (fun (what, src) ->
       match interp src "main" [] with
-      | exception Pvvm.Interp.Trap _ -> ()
-      | exception Pvvm.Memory.Fault _ -> ()
+      | exception Pvvm.Vm.Trap _ -> ()
       | _ -> Alcotest.fail ("no trap for " ^ what))
     [
       ("division by zero", "i64 main() { i64 z = 0; return 5 / z; }");
@@ -117,7 +116,7 @@ let test_interp_fuel () =
   let img = Pvvm.Image.load p in
   let it = Pvvm.Interp.create ~fuel:10_000L img in
   match Pvvm.Interp.run it "main" [] with
-  | exception Pvvm.Interp.Trap _ -> ()
+  | exception Pvvm.Vm.Trap _ -> ()
   | _ -> Alcotest.fail "infinite loop terminated?!"
 
 let test_interp_stack_discipline () =
@@ -146,7 +145,7 @@ i64 main() { return deep(100000); }
 |}
   in
   match interp src "main" [] with
-  | exception Pvvm.Interp.Trap _ -> ()
+  | exception Pvvm.Vm.Trap _ -> ()
   | _ -> Alcotest.fail "expected stack overflow trap"
 
 (* ---------------- profiler ---------------- *)
