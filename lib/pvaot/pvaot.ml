@@ -211,7 +211,7 @@ let args_match (fn : Pvir.Func.t) (args : Pvir.Value.t list) =
 let interp_ctx (t : Pvvm.Interp.t) : Aotabi.ctx =
   {
     Aotabi.mem = t.Pvvm.Interp.img.Pvvm.Image.mem;
-    globals_end = t.Pvvm.Interp.img.Pvvm.Image.globals_end;
+    globals_end = t.Pvvm.Interp.img.Pvvm.Image.layout.globals_end;
     sp = t.Pvvm.Interp.sp;
     cycles = Int64.to_int t.Pvvm.Interp.stats.Pvvm.Interp.cycles;
     instrs = Int64.to_int t.Pvvm.Interp.stats.Pvvm.Interp.instrs;
@@ -317,7 +317,7 @@ let snapshot_equal a b =
 let sim_ctx (t : Pvvm.Sim.t) : Aotabi.ctx =
   {
     Aotabi.mem = t.Pvvm.Sim.img.Pvvm.Image.mem;
-    globals_end = t.Pvvm.Sim.img.Pvvm.Image.globals_end;
+    globals_end = t.Pvvm.Sim.img.Pvvm.Image.layout.globals_end;
     sp = t.Pvvm.Sim.sp;
     cycles = Int64.to_int t.Pvvm.Sim.stats.Pvvm.Sim.cycles;
     instrs = Int64.to_int t.Pvvm.Sim.stats.Pvvm.Sim.instrs;

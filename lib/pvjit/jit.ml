@@ -72,17 +72,18 @@ let sp tr ~fn name f =
   Pvtrace.Trace.with_span tr ~tid:Pvtrace.Trace.track_jit
     ~args:[ ("func", fn) ] ~cat:"jit" name f
 
-(** Compile one function for [machine].  Degradations (annotation rejects
-    forcing online recomputation) are charged to [account] and recorded in
-    [ledger]; every pass runs under a [tr] span. *)
+(** Compile one function for [machine].  [resolve_global] maps a global
+    to its load-time address ({!Pvvm.Image.address} of the program's
+    layout); nothing else of the loaded program is needed.  Degradations
+    (annotation rejects forcing online recomputation) are charged to
+    [account] and recorded in [ledger]; every pass runs under a [tr]
+    span. *)
 let compile_func ?account ?tr ?ledger ~(machine : Machine.t)
-    ~(img : Pvvm.Image.t) ~(hints : hints) (fn : Pvir.Func.t) :
+    ~(resolve_global : string -> int) ~(hints : hints) (fn : Pvir.Func.t) :
     Mir.func * func_report =
   let mf =
     sp tr ~fn:fn.name "lower" (fun () ->
-        Lower.run ?account ~machine
-          ~resolve_global:(Pvvm.Image.global_address img)
-          fn)
+        Lower.run ?account ~machine ~resolve_global fn)
   in
   let exp = sp tr ~fn:fn.name "legalize" (fun () -> Legalize.run ?account mf) in
   sp tr ~fn:fn.name "immfold" (fun () -> ignore (Immfold.run ?account mf));
@@ -160,11 +161,12 @@ let compile_func ?account ?tr ?ledger ~(machine : Machine.t)
 let compile_program ?account ?tr ?ledger ~(machine : Machine.t)
     ~(hints : hints) (img : Pvvm.Image.t) : Pvvm.Sim.t * report =
   let sim = Pvvm.Sim.create img machine in
+  let resolve_global = Pvvm.Image.global_address img in
   let reports =
     List.map
       (fun fn ->
         let mf, report =
-          compile_func ?account ?tr ?ledger ~machine ~img ~hints fn
+          compile_func ?account ?tr ?ledger ~machine ~resolve_global ~hints fn
         in
         Pvvm.Sim.add_func sim mf;
         report)

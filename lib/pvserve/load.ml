@@ -209,7 +209,7 @@ let run ?tr ?(metrics = Pvtrace.Metrics.create ()) ?ledger (spec : spec) :
       | None -> Hashtbl.replace first_artifact it.i_key artifact
       | Some a0 -> if not (String.equal a0 artifact) then incr mismatches)
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let submitted = ref 0 in
   let wi = ref 0 in
   while !submitted < spec.requests do
@@ -240,7 +240,7 @@ let run ?tr ?(metrics = Pvtrace.Metrics.create ()) ?ledger (spec : spec) :
       tr
   done;
   Service.shutdown svc;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
   (* oracle second half: fresh single-threaded compiles must reproduce
      every served artifact byte-for-byte *)
   if spec.oracle then

@@ -77,48 +77,60 @@ type t = {
    every function's MIR sorted by name.  Byte-equality of two artifacts
    is the service's correctness oracle, so nothing non-deterministic
    (timestamps, hash order) may leak in here. *)
-let render_artifact ~(machine : Pvmach.Machine.t) (key : Key.t)
-    (sim : Pvvm.Sim.t) (report : Pvjit.Jit.report) : string =
+let render_artifact ~(machine : Pvmach.Machine.t) (key : string)
+    (compiled : (Pvmach.Mir.func * Pvjit.Jit.func_report) list) : string =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "pvserve-artifact v1\nmachine %s\nkey %s\n"
-    machine.Pvmach.Machine.name (Key.to_string key);
+    machine.Pvmach.Machine.name key;
   let funcs =
     List.sort
-      (fun (a : Pvjit.Jit.func_report) b ->
+      (fun (_, (a : Pvjit.Jit.func_report)) (_, b) ->
         String.compare a.Pvjit.Jit.fname b.Pvjit.Jit.fname)
-      report.Pvjit.Jit.funcs
+      compiled
   in
   Printf.bprintf buf "funcs %d\n" (List.length funcs);
   List.iter
-    (fun (fr : Pvjit.Jit.func_report) ->
+    (fun (mf, (fr : Pvjit.Jit.func_report)) ->
       Printf.bprintf buf "func %s spills=%d/%d annots=%s mir=%d\n"
         fr.Pvjit.Jit.fname fr.Pvjit.Jit.ra.Pvjit.Regalloc.spilled_regs
         fr.Pvjit.Jit.ra.Pvjit.Regalloc.spill_instrs
         (Pvjit.Annot_check.status_name fr.Pvjit.Jit.annot_status)
         fr.Pvjit.Jit.mir_size;
-      match Hashtbl.find_opt sim.Pvvm.Sim.code fr.Pvjit.Jit.fname with
-      | Some ce -> Buffer.add_string buf
-          (Pvmach.Mir.func_to_string ce.Pvvm.Sim.cfn)
-      | None -> Printf.bprintf buf "  <no code>\n")
+      Buffer.add_string buf (Pvmach.Mir.func_to_string mf))
     funcs;
   Buffer.contents buf
 
-(** Decode, load and JIT-compile [bytecode] for [machine] — the work a
-    cache miss pays.  Also the single-threaded oracle: the load
-    generator recompiles served keys through this very function and
-    demands byte-identical artifacts. *)
+let decode bytecode =
+  Result.map_error
+    (fun c -> "decode: " ^ Pvir.Serial.corruption_to_string c)
+    (Pvir.Serial.decode_result bytecode)
+
+(** JIT-compile a decoded request for [machine] and render its artifact
+    under [key] (the flat {!Key.to_string}): the work a cache miss pays.
+    The JIT needs only the program's layout, that is, where its globals
+    live, so no VM memory or simulator is built.  {!Pvvm.Image.layout}
+    also verifies the untrusted program before any of it reaches the
+    JIT. *)
+let compile ~(machine : Pvmach.Machine.t) (key : string) (prog : Pvir.Prog.t)
+    : (string, string) result =
+  match
+    let layout = Pvvm.Image.layout prog in
+    List.map
+      (Pvjit.Jit.compile_func ~machine
+         ~resolve_global:(Pvvm.Image.address layout)
+         ~hints:Pvjit.Jit.Hints_annotation)
+      prog.Pvir.Prog.funcs
+  with
+  | compiled -> Ok (render_artifact ~machine key compiled)
+  | exception e -> Error ("compile: " ^ Printexc.to_string e)
+
+(** Decode and compile [bytecode] for [machine].  Also the
+    single-threaded oracle: the load generator recompiles served keys
+    through this very function and demands byte-identical artifacts. *)
 let compile_artifact ~(machine : Pvmach.Machine.t) (bytecode : string) :
     (string, string) result =
-  match Pvir.Serial.decode_result bytecode with
-  | Error c -> Error ("decode: " ^ Pvir.Serial.corruption_to_string c)
-  | Ok prog -> (
-    let key = Key.of_program ~machine prog in
-    match
-      let img = Pvvm.Image.load prog in
-      Pvjit.Jit.compile_program ~machine ~hints:Pvjit.Jit.Hints_annotation img
-    with
-    | sim, report -> Ok (render_artifact ~machine key sim report)
-    | exception e -> Error ("compile: " ^ Printexc.to_string e))
+  Result.bind (decode bytecode) (fun prog ->
+      compile ~machine (Key.to_string (Key.of_program ~machine prog)) prog)
 
 (* ------------------------------------------------------------------ *)
 (* Tickets                                                             *)
@@ -165,14 +177,9 @@ let reply_metrics t (r : reply) =
 let serve_job t (tk : ticket) =
   let machine = tk.req.machine in
   (* Derive the key outside any lock: decoding is per-request work. *)
-  match Pvir.Serial.decode_result tk.req.bytecode with
-  | Error c ->
-    let r =
-      {
-        outcome = Error ("decode: " ^ Pvir.Serial.corruption_to_string c);
-        origin = Compiled;
-      }
-    in
+  match decode tk.req.bytecode with
+  | Error _ as outcome ->
+    let r = { outcome; origin = Compiled } in
     reply_metrics t r;
     fulfill tk r
   | Ok prog -> (
@@ -199,24 +206,12 @@ let serve_job t (tk : ticket) =
       fulfill tk r
     | `Parked -> ()  (* the compiling worker will fulfill this ticket *)
     | `Compile ->
-      let t0 = Unix.gettimeofday () in
-      let outcome =
-        match
-          let img = Pvvm.Image.load prog in
-          Pvjit.Jit.compile_program ~machine
-            ~hints:Pvjit.Jit.Hints_annotation img
-        with
-        | sim, report ->
-          Ok
-            (render_artifact ~machine
-               (Key.of_program ~machine prog)
-               sim report)
-        | exception e -> Error ("compile: " ^ Printexc.to_string e)
-      in
+      let t0 = Monotonic_clock.now () in
+      let outcome = compile ~machine key prog in
       Atomic.incr t.compiles;
       Pvtrace.Metrics.inc1 t.metrics "serve.compiles";
       Pvtrace.Metrics.observe t.metrics "serve.compile_us"
-        (Int64.of_float ((Unix.gettimeofday () -. t0) *. 1_000_000.));
+        (Int64.div (Int64.sub (Monotonic_clock.now ()) t0) 1000L);
       (* Publish before unparking: insert on success, then claim the
          waiter list and drop the in-flight mark in the same critical
          section that decided it. *)

@@ -1,25 +1,41 @@
 (** Loaded program image: the runtime's view of a PVIR program after the
     load step of the program lifetime (§2.2 of the paper).
 
-    Loading verifies the bytecode, lays out globals in low memory and runs
-    their initializers.  Global addresses become load-time constants, which
-    is what lets the online compiler burn them into the generated code. *)
+    Loading has two halves.  {!layout} verifies the bytecode and assigns
+    every global its address in low memory; global addresses thereby
+    become load-time constants, which is what lets the online compiler
+    burn them into the generated code, and all it needs.  {!load} adds
+    the memory: it allocates the VM address space and runs the global
+    initializers. *)
 
-type t = {
-  prog : Pvir.Prog.t;
-  mem : Memory.t;
+(** Where a verified program's globals live; no memory exists yet. *)
+type layout = {
   global_addr : (string, int) Hashtbl.t;
   globals_end : int;  (** first free byte after the globals *)
 }
 
+type t = {
+  prog : Pvir.Prog.t;
+  mem : Memory.t;
+  layout : layout;
+}
+
 let align8 n = (n + 7) land lnot 7
 
-(** [load ?mem_size ?alloc_limit prog] verifies and loads [prog] into a
-    fresh memory.
-    @raise Pvir.Verify.Error if the bytecode does not verify.
-    @raise Memory.Limit if [mem_size] exceeds [alloc_limit]
-    (default {!Memory.default_alloc_limit}). *)
-let load ?(mem_size = 1 lsl 20) ?alloc_limit (prog : Pvir.Prog.t) : t =
+(* Globals sit in declaration order from address 8 up (address 0 stays an
+   unmapped null), each 8-byte aligned.  [f] sees every global with its
+   address; the result is the first free byte. *)
+let place (prog : Pvir.Prog.t) f =
+  List.fold_left
+    (fun addr (g : Pvir.Prog.global) ->
+      f g addr;
+      align8 (addr + Pvir.Prog.global_size g))
+    8 prog.globals
+
+(** [layout prog] verifies [prog] and lays out its globals.
+    @raise Pvir.Verify.Error if the bytecode does not verify or names an
+    unresolved extern. *)
+let layout (prog : Pvir.Prog.t) : layout =
   Pvir.Verify.program prog;
   (* a module with unresolved externs must be linked before it can run *)
   List.iter
@@ -33,26 +49,36 @@ let load ?(mem_size = 1 lsl 20) ?alloc_limit (prog : Pvir.Prog.t) : t =
              (Printf.sprintf "unresolved extern @%s: link the module first"
                 e.Pvir.Prog.ename)))
     prog.Pvir.Prog.externs;
-  let mem = Memory.create ?alloc_limit mem_size in
   let global_addr = Hashtbl.create 16 in
-  let cursor = ref 8 (* keep address 0 as an unmapped null *) in
-  List.iter
-    (fun (g : Pvir.Prog.global) ->
-      let addr = !cursor in
-      Hashtbl.replace global_addr g.gname addr;
-      (match g.ginit with
-      | Some init -> Memory.store_array mem addr init
-      | None -> ());
-      cursor := align8 (addr + Pvir.Prog.global_size g))
-    prog.globals;
-  if !cursor >= mem_size then
-    Memory.fault "globals (%d bytes) exceed memory (%d bytes)" !cursor mem_size;
-  { prog; mem; global_addr; globals_end = !cursor }
+  let globals_end =
+    place prog (fun g addr -> Hashtbl.replace global_addr g.gname addr)
+  in
+  { global_addr; globals_end }
 
-let global_address img name =
-  match Hashtbl.find_opt img.global_addr name with
+(** The load-time address of global [name]. *)
+let address (l : layout) name =
+  match Hashtbl.find_opt l.global_addr name with
   | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "Image.global_address: no global %s" name)
+  | None -> invalid_arg (Printf.sprintf "Image.address: no global %s" name)
+
+(** [load ?mem_size ?alloc_limit prog] verifies and loads [prog] into a
+    fresh memory.
+    @raise Pvir.Verify.Error if the bytecode does not verify.
+    @raise Vm.Trap if the globals do not fit in [mem_size] bytes.
+    @raise Memory.Limit if [mem_size] exceeds [alloc_limit]
+    (default {!Memory.default_alloc_limit}). *)
+let load ?(mem_size = 1 lsl 20) ?alloc_limit (prog : Pvir.Prog.t) : t =
+  let layout = layout prog in
+  if layout.globals_end >= mem_size then
+    Memory.fault "globals (%d bytes) exceed memory (%d bytes)"
+      layout.globals_end mem_size;
+  let mem = Memory.create ?alloc_limit mem_size in
+  ignore
+    (place prog (fun g addr ->
+         Option.iter (Memory.store_array mem addr) g.ginit));
+  { prog; mem; layout }
+
+let global_address img name = address img.layout name
 
 (** Initial stack pointer: the top of memory (the stack grows down). *)
 let initial_sp img = Memory.size img.mem

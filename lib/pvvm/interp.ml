@@ -320,7 +320,7 @@ and exec_instr t frame (i : Pvir.Instr.t) : unit =
     Memory.store t.img.mem addr (v src)
   | Pvir.Instr.Alloca (d, bytes) ->
     t.sp <- t.sp - bytes;
-    if t.sp < t.img.globals_end then Vm.trap "stack overflow";
+    if t.sp < t.img.layout.globals_end then Vm.trap "stack overflow";
     set_reg frame d (Pvir.Value.i64 (Int64.of_int t.sp))
   | Pvir.Instr.Call (d, name, args) -> (
     let argv = List.map v args in
@@ -572,7 +572,7 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
   | Decode.DAlloca { cost; d; bytes } ->
     dcharge ec cost;
     t.sp <- t.sp - bytes;
-    if t.sp < t.img.globals_end then Vm.trap "stack overflow";
+    if t.sp < t.img.layout.globals_end then Vm.trap "stack overflow";
     dset frame d (Pvir.Value.i64 (Int64.of_int t.sp))
   | Decode.DCall { cost; d; name; callee; args } -> (
     dcharge ec cost;

@@ -156,7 +156,7 @@ let rec tw_call t (fn : Mir.func) (args : Pvir.Value.t list) :
     Vm.trap "arity mismatch calling %s" fn.mname;
   let saved_sp = t.sp in
   t.sp <- t.sp - fn.frame_size;
-  if t.sp < t.img.globals_end then Vm.trap "stack overflow in %s" fn.mname;
+  if t.sp < t.img.layout.globals_end then Vm.trap "stack overflow in %s" fn.mname;
   let frame =
     { rf = new_regfile t.machine; fp = t.sp; slots = Hashtbl.create 16; fn }
   in
@@ -364,7 +364,7 @@ let rec scall t ec (df : Mdecode.dfunc) (args : Pvir.Value.t list) :
     Vm.trap "arity mismatch calling %s" df.Mdecode.sname;
   let saved_sp = t.sp in
   t.sp <- t.sp - df.Mdecode.sframe_size;
-  if t.sp < t.img.globals_end then
+  if t.sp < t.img.layout.globals_end then
     Vm.trap "stack overflow in %s" df.Mdecode.sname;
   let frame =
     {

@@ -33,10 +33,10 @@ let validate (t : Interp.t) (snap : Pvir.Ckpt.t) : unit =
   if String.length snap.ck_mem <> msize then
     invalid "snapshot memory is %d bytes, VM memory is %d"
       (String.length snap.ck_mem) msize;
-  let sp_ok sp = sp >= img.Image.globals_end && sp <= msize in
+  let sp_ok sp = sp >= img.Image.layout.globals_end && sp <= msize in
   if not (sp_ok snap.ck_gsp) then
     invalid "stack pointer %d outside the stack region [%d, %d]" snap.ck_gsp
-      img.Image.globals_end msize;
+      img.Image.layout.globals_end msize;
   if Int64.compare t.Interp.fuel (Int64.add snap.ck_instrs snap.ck_fuel) <> 0
   then
     invalid "fuel budget mismatch: snapshot implies %Ld, VM created with %Ld"
@@ -85,7 +85,7 @@ let validate (t : Interp.t) (snap : Pvir.Ckpt.t) : unit =
         | _ -> invalid "frame %d: instruction %d is not a call" i (f.ck_ip - 1)));
       if not (sp_ok f.ck_sp) then
         invalid "frame %d: saved stack pointer %d outside [%d, %d]" i f.ck_sp
-          img.Image.globals_end msize;
+          img.Image.layout.globals_end msize;
       List.iter
         (fun (r, v) ->
           if r < 0 || r >= fn.Pvir.Func.next_reg then

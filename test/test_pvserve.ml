@@ -106,6 +106,98 @@ let test_matches_single_threaded () =
   | Ok fresh -> Alcotest.(check string) "oracle equality" fresh served
   | Error e -> Alcotest.failf "fresh compile failed: %s" e
 
+(* The service compiles against [Image.layout] and never builds an
+   image.  Every existing oracle compares the service with
+   [compile_artifact], that is, with itself; this one compares it with
+   the device path, [Jit.compile_program] on a full [Image.load], over
+   the serve benchmark's whole population (1,000 keys), so global
+   addresses drifting from the loader's would show here. *)
+let test_layout_path_matches_image_path () =
+  let corpus =
+    Pvserve.Load.corpus ~gen_seeds:(List.init 186 (fun i -> i + 1)) ()
+  in
+  let keys = ref 0 in
+  List.iter
+    (fun (name, bc) ->
+      List.iter
+        (fun (machine : Pvmach.Machine.t) ->
+          incr keys;
+          let prog = Pvir.Serial.decode bc in
+          let key =
+            Pvserve.Key.to_string (Pvserve.Key.of_program ~machine prog)
+          in
+          let sim, report =
+            Pvjit.Jit.compile_program ~machine
+              ~hints:Pvjit.Jit.Hints_annotation (Pvvm.Image.load prog)
+          in
+          let code (fr : Pvjit.Jit.func_report) =
+            (Hashtbl.find sim.Pvvm.Sim.code fr.Pvjit.Jit.fname).Pvvm.Sim.cfn
+          in
+          let device =
+            Pvserve.Service.render_artifact ~machine key
+              (List.map (fun fr -> (code fr, fr)) report.Pvjit.Jit.funcs)
+          in
+          match Pvserve.Service.compile_artifact ~machine bc with
+          | Ok served ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s on %s" name machine.Pvmach.Machine.name)
+              device served
+          | Error e -> Alcotest.failf "%s: %s" name e)
+        Pvmach.Machine.all)
+    corpus;
+  Alcotest.(check int) "the serve population" 1000 !keys
+
+(* [Serial.decode] does not verify, so the compile path is the only
+   verifier a request meets.  Bytecode that decodes but does not verify
+   must answer with a compile error and leave nothing in the cache. *)
+let test_unverified_bytecode () =
+  let unresolved =
+    let p = Pvir.Prog.create "unresolved" in
+    Pvir.Prog.add_extern p "elsewhere" [] (Some Pvir.Types.i64);
+    p
+  in
+  let bad_label =
+    let p = Pvir.Prog.create "bad_label" in
+    let fn = Pvir.Func.create ~name:"bad" ~params:[] ~ret:None in
+    let b = Pvir.Func.add_block fn in
+    b.Pvir.Func.term <- Pvir.Instr.Br 42;
+    Pvir.Prog.add_func p fn;
+    p
+  in
+  List.iter
+    (fun (p : Pvir.Prog.t) ->
+      let what = p.Pvir.Prog.pname in
+      let bc = Pvir.Serial.encode p in
+      (* the verifier itself must refuse, not some later JIT failure *)
+      let compile_error = function
+        | Error e -> String.starts_with ~prefix:"compile: Pvir.Verify.Error" e
+        | Ok _ -> false
+      in
+      Alcotest.(check bool) (what ^ " decodes") true
+        (Result.is_ok (Pvir.Serial.decode_result bc));
+      Alcotest.(check bool) (what ^ ": compile_artifact refuses") true
+        (compile_error (Pvserve.Service.compile_artifact ~machine bc));
+      let svc = Pvserve.Service.create ~workers:2 () in
+      let ask () =
+        Pvserve.Service.await
+          (Pvserve.Service.submit svc
+             { Pvserve.Service.bytecode = bc; Pvserve.Service.machine })
+      in
+      let first = ask () in
+      let again = ask () in
+      Pvserve.Service.shutdown svc;
+      List.iter
+        (fun (r : Pvserve.Service.reply) ->
+          Alcotest.(check bool) (what ^ ": error reply") true
+            (compile_error r.Pvserve.Service.outcome))
+        [ first; again ];
+      Alcotest.(check int) (what ^ ": nothing cached, so it compiles again")
+        2
+        (Pvserve.Service.compile_count svc);
+      Alcotest.(check int) (what ^ ": cache empty") 0
+        (Pvserve.Service.cache_stats svc).Pvserve.Cache.s_entries)
+    [ unresolved; bad_label ]
+
 (* ---------------- eviction ---------------- *)
 
 (* A budget that holds only one artifact: A, then B (evicts A), then A
@@ -286,6 +378,10 @@ let () =
             test_bounded_queue;
           Alcotest.test_case "garbage bytecode is an error reply" `Quick
             test_garbage_bytecode;
+          Alcotest.test_case "unverified bytecode is an error reply" `Quick
+            test_unverified_bytecode;
+          Alcotest.test_case "layout path = image path, 1,000 keys" `Quick
+            test_layout_path_matches_image_path;
         ] );
       ( "load",
         [

@@ -76,9 +76,19 @@ let test_image_rejects_ill_typed () =
 let test_image_oom () =
   let p = Pvir.Prog.create "t" in
   Pvir.Prog.add_global p "big" Pvir.Types.I64 100000;
-  match Pvvm.Image.load ~mem_size:1024 p with
+  (match Pvvm.Image.load ~mem_size:1024 p with
   | exception Pvvm.Vm.Trap _ -> ()
-  | _ -> Alcotest.fail "oversized globals loaded"
+  | _ -> Alcotest.fail "oversized globals loaded");
+  (* an initialized global is rejected by the layout check too, before
+     any initializer is stored *)
+  let p = Pvir.Prog.create "t" in
+  Pvir.Prog.add_global p "big" Pvir.Types.I64 200
+    ~init:(Array.make 200 (Pvir.Value.i64 1L));
+  match Pvvm.Image.load ~mem_size:1024 p with
+  | exception Pvvm.Vm.Trap m ->
+    check Alcotest.string "overflow reported as such"
+      "memory fault: globals (1608 bytes) exceed memory (1024 bytes)" m
+  | _ -> Alcotest.fail "oversized initialized globals loaded"
 
 (* ---------------- interpreter ---------------- *)
 
