@@ -234,20 +234,31 @@ let canary_source =
       "";
     ]
 
+(* Test processes running at once share the cache directory and each
+   probe on start-up, so the canary's files are named per process: one
+   process must not load a canary another is still writing. *)
 let run_canary tc =
-  let dir = cache_dir () in
-  let src = Filename.concat dir "pvaot_canary.ml" in
-  let out = Filename.concat dir ("pvaot_canary" ^ artifact_ext tc) in
+  let base =
+    Filename.concat (cache_dir ())
+      (Printf.sprintf "pvaot_canary_%d" (Unix.getpid ()))
+  in
+  let src = base ^ ".ml" and out = base ^ artifact_ext tc in
   write_file src canary_source;
-  match compile tc ~src_path:src ~out_path:out with
-  | Error e -> Error ("canary compile failed: " ^ e)
-  | Ok () -> (
-    match load_artifact ~digest:canary_digest ~ext:(artifact_ext tc) out with
-    | Error e -> Error ("canary load failed: " ^ e)
-    | Ok reg -> (
-      match List.assoc_opt "canary" reg.Pvvm.Aotabi.entries with
-      | None -> Error "canary registered the wrong entries"
-      | Some _ -> Ok ()))
+  let result =
+    match compile tc ~src_path:src ~out_path:out with
+    | Error e -> Error ("canary compile failed: " ^ e)
+    | Ok () -> (
+      match load_artifact ~digest:canary_digest ~ext:(artifact_ext tc) out with
+      | Error e -> Error ("canary load failed: " ^ e)
+      | Ok reg -> (
+        match List.assoc_opt "canary" reg.Pvvm.Aotabi.entries with
+        | None -> Error "canary registered the wrong entries"
+        | Some _ -> Ok ()))
+  in
+  List.iter
+    (fun ext -> try Sys.remove (base ^ ext) with Sys_error _ -> ())
+    [ ".ml"; ".cmi"; ".cmx"; ".o"; artifact_ext tc ];
+  result
 
 let probe () =
   match find_compiler () with

@@ -145,7 +145,7 @@ let run ?account ~(machine : Machine.t) ~(resolve_global : string -> int)
     | Pvir.Instr.Cbr (c, l1, l2) -> Mir.Tcbr (v c, l1, l2)
     | Pvir.Instr.Ret r -> Mir.Tret (Option.map v r)
   in
-  mf.Mir.mblocks <-
+  let blocks =
     List.map
       (fun (b : Pvir.Func.block) ->
         {
@@ -153,7 +153,29 @@ let run ?account ~(machine : Machine.t) ~(resolve_global : string -> int)
           insts = List.concat_map lower_instr b.instrs;
           mterm = lower_term b.term;
         })
-      fn.blocks;
+      fn.blocks
+  in
+  (* The arg-slot loads below and the allocator's stores of spilled
+     parameters go at the top of [Mir.entry], so that block must run once
+     per call.  When some block branches to the entry block, a fresh empty
+     block that jumps to it becomes the entry.  Its label is one past the
+     largest label, not [fn.next_label]: decoded bytecode supplies that
+     counter, and the verifier does not check it against the labels. *)
+  mf.Mir.mblocks <-
+    (match blocks with
+    | entry :: _
+      when List.exists
+             (fun (b : Mir.block) ->
+               List.mem entry.Mir.mlabel (Mir.term_successors b.Mir.mterm))
+             blocks ->
+      let last =
+        List.fold_left
+          (fun acc (b : Mir.block) -> max acc b.Mir.mlabel)
+          entry.Mir.mlabel blocks
+      in
+      { Mir.mlabel = last + 1; insts = []; mterm = Mir.Tbr entry.Mir.mlabel }
+      :: blocks
+    | _ -> blocks);
   (* stack-passed parameters: load them from their arg slots on entry *)
   (match mf.Mir.mblocks with
   | entry :: _ ->

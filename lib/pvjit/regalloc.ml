@@ -13,7 +13,12 @@
       the *cheapest* live interval instead.
     - spill code is the classic spill-everywhere form: a store after every
       definition, a reload before every use; the allocator then reruns
-      with the tiny intervals (never re-spilled).
+      with the tiny intervals (never re-spilled).  A spilled parameter is
+      stored at the top of [Mir.entry], which {!Lower.run} guarantees runs
+      once per call.
+
+    Intervals come from block-level liveness of the virtual registers,
+    computed by {!Pvopt.Liveness}, the solver pvopt's passes use too.
 
     Dynamic spill traffic is what the paper's 40 % claim is about; the
     simulator counts executed [Mframe_ld]/[Mframe_st] operations so E3 can
@@ -37,80 +42,22 @@ type stats = {
 
 let vregs_of_reg = function Mir.V v -> Some v | Mir.P _ -> None
 
-let block_use_def (b : Mir.block) =
-  let use = Hashtbl.create 8 and def = Hashtbl.create 8 in
-  List.iter
-    (fun i ->
+(** Block-level liveness of [mf]'s virtual registers by
+    {!Pvopt.Liveness.solve}: live sets are indexed by position in
+    [mf.mblocks]. *)
+let liveness (mf : Mir.func) : Pvopt.Liveness.t =
+  let vreg f r = Option.iter f (vregs_of_reg r) in
+  Pvopt.Liveness.solve ~nregs:mf.Mir.next_vreg
+    ~label:(fun (b : Mir.block) -> b.Mir.mlabel)
+    ~succs:(fun (b : Mir.block) -> Mir.term_successors b.Mir.mterm)
+    ~scan:(fun (b : Mir.block) ~use ~def ->
       List.iter
-        (fun r ->
-          match vregs_of_reg r with
-          | Some v when not (Hashtbl.mem def v) -> Hashtbl.replace use v ()
-          | _ -> ())
-        (Mir.inst_uses i);
-      match Option.bind (Mir.inst_def i) vregs_of_reg with
-      | Some v -> Hashtbl.replace def v ()
-      | None -> ())
-    b.Mir.insts;
-  List.iter
-    (fun r ->
-      match vregs_of_reg r with
-      | Some v when not (Hashtbl.mem def v) -> Hashtbl.replace use v ()
-      | _ -> ())
-    (Mir.term_uses b.Mir.mterm);
-  (use, def)
-
-let liveness (mf : Mir.func) =
-  let preds = Hashtbl.create 16 in
-  List.iter (fun (b : Mir.block) -> Hashtbl.replace preds b.Mir.mlabel []) mf.Mir.mblocks;
-  List.iter
-    (fun (b : Mir.block) ->
-      List.iter
-        (fun s ->
-          Hashtbl.replace preds s
-            (b.Mir.mlabel :: (try Hashtbl.find preds s with Not_found -> [])))
-        (Mir.term_successors b.Mir.mterm))
-    mf.Mir.mblocks;
-  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
-  let use_def = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Mir.block) ->
-      Hashtbl.replace use_def b.Mir.mlabel (block_use_def b);
-      Hashtbl.replace live_in b.Mir.mlabel (Hashtbl.create 8);
-      Hashtbl.replace live_out b.Mir.mlabel (Hashtbl.create 8))
-    mf.Mir.mblocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Mir.block) ->
-        let l = b.Mir.mlabel in
-        let out = Hashtbl.find live_out l in
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt live_in s with
-            | Some sin ->
-              Hashtbl.iter
-                (fun v () ->
-                  if not (Hashtbl.mem out v) then (
-                    Hashtbl.replace out v ();
-                    changed := true))
-                sin
-            | None -> ())
-          (Mir.term_successors b.Mir.mterm);
-        let use, def = Hashtbl.find use_def l in
-        let inn = Hashtbl.find live_in l in
-        let add v =
-          if not (Hashtbl.mem inn v) then (
-            Hashtbl.replace inn v ();
-            changed := true)
-        in
-        Hashtbl.iter (fun v () -> add v) use;
-        Hashtbl.iter
-          (fun v () -> if not (Hashtbl.mem def v) then add v)
-          out)
-      (List.rev mf.Mir.mblocks)
-  done;
-  (live_in, live_out)
+        (fun i ->
+          List.iter (vreg use) (Mir.inst_uses i);
+          Option.iter (vreg def) (Mir.inst_def i))
+        b.Mir.insts;
+      List.iter (vreg use) (Mir.term_uses b.Mir.mterm))
+    mf.Mir.mblocks
 
 (* ---------------- intervals ---------------- *)
 
@@ -121,8 +68,15 @@ type interval = {
   mutable iend : int;
 }
 
+(* The order of the returned list matters.  [scan_class]'s stable sort
+   keeps it between intervals with equal [(istart, iend)], so it decides
+   which physical register each one gets, and register numbers are part
+   of the rendered artifact bytes.  That order is [Hashtbl.fold]'s over
+   [tbl], which follows the order in which registers are first touched;
+   any change to it renumbers registers and moves the serve artifact
+   digest pinned in test_pvserve. *)
 let build_intervals (mf : Mir.func) =
-  let live_in, live_out = liveness mf in
+  let lv = liveness mf in
   let tbl : (int, interval) Hashtbl.t = Hashtbl.create 32 in
   let touch v pos =
     match Hashtbl.find_opt tbl v with
@@ -143,15 +97,13 @@ let build_intervals (mf : Mir.func) =
     (fun r -> match vregs_of_reg r with Some v -> touch v 0 | None -> ())
     mf.Mir.mparams;
   let pos = ref 0 in
-  List.iter
-    (fun (b : Mir.block) ->
+  List.iteri
+    (fun bi (b : Mir.block) ->
       let bstart = !pos in
       let touch_reg r p =
         match vregs_of_reg r with Some v -> touch v p | None -> ()
       in
-      (match Hashtbl.find_opt live_in b.Mir.mlabel with
-      | Some inn -> Hashtbl.iter (fun v () -> touch v bstart) inn
-      | None -> ());
+      Pvopt.Liveness.iter (fun v -> touch v bstart) lv.live_in.(bi);
       List.iter
         (fun i ->
           incr pos;
@@ -161,9 +113,7 @@ let build_intervals (mf : Mir.func) =
       incr pos;
       List.iter (fun r -> touch_reg r !pos) (Mir.term_uses b.Mir.mterm);
       let bend = !pos in
-      (match Hashtbl.find_opt live_out b.Mir.mlabel with
-      | Some out -> Hashtbl.iter (fun v () -> touch v bend) out
-      | None -> ());
+      Pvopt.Liveness.iter (fun v -> touch v bend) lv.live_out.(bi);
       incr pos)
     mf.Mir.mblocks;
   Hashtbl.fold (fun _ iv acc -> iv :: acc) tbl []
@@ -408,10 +358,6 @@ let run ?account ~(quality : quality) (mf : Mir.func) : stats =
         mf.Mir.mblocks;
       mf.Mir.mparams <- List.map map mf.Mir.mparams
     | Spill spills ->
-      if Sys.getenv_opt "PVJIT_RA_DEBUG" <> None then
-        Printf.eprintf "[ra] %s round %d: spilling %s\n%!" mf.Mir.mname
-          stats.rounds
-          (String.concat "," (List.map string_of_int spills));
       Pvir.Account.charge_opt account ~pass:"jit.spill" (Mir.size mf);
       rewrite_spills mf ~unspillable ~stats spills;
       go (budget - 1)

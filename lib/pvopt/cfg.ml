@@ -1,6 +1,6 @@
 (** Control-flow-graph utilities over {!Pvir.Func} used by every pass:
-    predecessor maps, reachability, reverse postorder, and block-level
-    liveness. *)
+    predecessor maps, reachability, reverse postorder and dominators, plus
+    the PVIR adapter of the shared {!Liveness} solver. *)
 
 open Pvir
 
@@ -108,81 +108,17 @@ let dominates (d : dom) a b =
 
 (* ---------------- liveness ---------------- *)
 
-type liveness = {
-  live_in : (int, (Pvir.Instr.reg, unit) Hashtbl.t) Hashtbl.t;
-  live_out : (int, (Pvir.Instr.reg, unit) Hashtbl.t) Hashtbl.t;
-}
-
-let block_use_def (b : Func.block) =
-  let use = Hashtbl.create 8 and def = Hashtbl.create 8 in
-  List.iter
-    (fun i ->
+(** Block-level liveness of [fn] by {!Liveness.solve}: live sets are
+    indexed by position in [fn.blocks], unreachable blocks included. *)
+let liveness (fn : Func.t) : Liveness.t =
+  Liveness.solve ~nregs:fn.next_reg
+    ~label:(fun (b : Func.block) -> b.label)
+    ~succs:successors
+    ~scan:(fun (b : Func.block) ~use ~def ->
       List.iter
-        (fun r -> if not (Hashtbl.mem def r) then Hashtbl.replace use r ())
-        (Instr.uses i);
-      Option.iter (fun d -> Hashtbl.replace def d ()) (Instr.def i))
-    b.instrs;
-  List.iter
-    (fun r -> if not (Hashtbl.mem def r) then Hashtbl.replace use r ())
-    (Instr.term_uses b.term);
-  (use, def)
-
-(** Classic backward block-level liveness. *)
-let liveness (t : t) : liveness =
-  let fn = t.fn in
-  let use_def = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Func.block) -> Hashtbl.replace use_def b.label (block_use_def b))
-    fn.blocks;
-  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Func.block) ->
-      Hashtbl.replace live_in b.label (Hashtbl.create 8);
-      Hashtbl.replace live_out b.label (Hashtbl.create 8))
-    fn.blocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* iterate in postorder (reverse of rpo) for fast convergence *)
-    List.iter
-      (fun l ->
-        let out = Hashtbl.find live_out l in
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt live_in s with
-            | Some sin ->
-              Hashtbl.iter
-                (fun r () ->
-                  if not (Hashtbl.mem out r) then (
-                    Hashtbl.replace out r ();
-                    changed := true))
-                sin
-            | None -> ())
-          (succs t l);
-        let use, def = Hashtbl.find use_def l in
-        let inn = Hashtbl.find live_in l in
-        Hashtbl.iter
-          (fun r () ->
-            if not (Hashtbl.mem inn r) then (
-              Hashtbl.replace inn r ();
-              changed := true))
-          use;
-        Hashtbl.iter
-          (fun r () ->
-            if (not (Hashtbl.mem def r)) && not (Hashtbl.mem inn r) then (
-              Hashtbl.replace inn r ();
-              changed := true))
-          out)
-      (List.rev t.rpo)
-  done;
-  { live_in; live_out }
-
-let live_out_of (lv : liveness) l =
-  match Hashtbl.find_opt lv.live_out l with
-  | Some h -> h
-  | None -> Hashtbl.create 1
-
-let live_in_of (lv : liveness) l =
-  match Hashtbl.find_opt lv.live_in l with
-  | Some h -> h
-  | None -> Hashtbl.create 1
+        (fun i ->
+          List.iter use (Instr.uses i);
+          Option.iter def (Instr.def i))
+        b.instrs;
+      List.iter use (Instr.term_uses b.term))
+    fn.blocks

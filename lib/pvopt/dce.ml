@@ -8,13 +8,12 @@
 open Pvir
 
 let once (fn : Func.t) : bool =
-  let cfg = Cfg.build fn in
-  let lv = Cfg.liveness cfg in
+  let lv = Cfg.liveness fn in
   let changed = ref false in
-  List.iter
-    (fun (b : Func.block) ->
-      let live = Hashtbl.copy (Cfg.live_out_of lv b.label) in
-      List.iter (fun r -> Hashtbl.replace live r ()) (Instr.term_uses b.term);
+  List.iteri
+    (fun bi (b : Func.block) ->
+      let live = Liveness.copy lv.live_out.(bi) in
+      List.iter (Liveness.add live) (Instr.term_uses b.term);
       (* walk backwards *)
       let keep =
         List.fold_left
@@ -23,17 +22,15 @@ let once (fn : Func.t) : bool =
               (not (Instr.has_side_effect i))
               &&
               match Instr.def i with
-              | Some d -> not (Hashtbl.mem live d)
+              | Some d -> not (Liveness.mem live d)
               | None -> true
             in
             if dead then (
               changed := true;
               acc)
             else (
-              (match Instr.def i with
-              | Some d -> Hashtbl.remove live d
-              | None -> ());
-              List.iter (fun r -> Hashtbl.replace live r ()) (Instr.uses i);
+              Option.iter (Liveness.remove live) (Instr.def i);
+              List.iter (Liveness.add live) (Instr.uses i);
               i :: acc))
           []
           (List.rev b.instrs)

@@ -13,7 +13,6 @@ open Pvir
     created. *)
 let hoist_loop (fn : Func.t) (lp : Loops.loop) : int option =
   let cfg = Cfg.build fn in
-  let lv = Cfg.liveness cfg in
   (* build/locate the preheader: a fresh block taking every entry edge *)
   let outside_preds =
     List.filter (fun p -> not (Loops.in_loop lp p)) (Cfg.preds cfg lp.header)
@@ -35,7 +34,12 @@ let hoist_loop (fn : Func.t) (lp : Loops.loop) : int option =
               (Instr.def i))
           b.instrs)
       lp.blocks;
-    let live_into_header = Cfg.live_in_of lv lp.header in
+    let live_into_header =
+      let pos =
+        List.find_index (fun (b : Func.block) -> b.label = lp.header) fn.blocks
+      in
+      (Cfg.liveness fn).live_in.(Option.get pos)
+    in
     let hoistable = ref [] in
     let invariant = Hashtbl.create 16 in
     let is_invariant_reg r =
@@ -54,7 +58,7 @@ let hoist_loop (fn : Func.t) (lp : Loops.loop) : int option =
                    && (not (Instr.reads_memory i))
                    && List.for_all is_invariant_reg (Instr.uses i)
                    && (try Hashtbl.find def_count d with Not_found -> 0) = 1
-                   && not (Hashtbl.mem live_into_header d) ->
+                   && not (Liveness.mem live_into_header d) ->
               Hashtbl.replace invariant d ();
               hoistable := i :: !hoistable
             | _ -> ())

@@ -81,20 +81,21 @@ let spill_costs (fn : Func.t) : (Instr.reg * float) list =
     function, per block boundary — a cheap offline estimate the JIT can use
     to skip allocation effort entirely when pressure is low. *)
 let max_pressure (fn : Func.t) : int =
-  let cfg = Cfg.build fn in
-  let lv = Cfg.liveness cfg in
-  List.fold_left
-    (fun acc (b : Func.block) ->
-      let live = Hashtbl.copy (Cfg.live_out_of lv b.label) in
-      let here = ref (Hashtbl.length live) in
+  let lv = Cfg.liveness fn in
+  let peak = ref 0 in
+  (* a block's estimate is its live-out set plus every register it
+     touches; the set only grows, so its final size is the block's peak *)
+  List.iteri
+    (fun bi (b : Func.block) ->
+      let live = Liveness.copy lv.live_out.(bi) in
       List.iter
         (fun i ->
-          Option.iter (fun d -> Hashtbl.replace live d ()) (Instr.def i);
-          List.iter (fun u -> Hashtbl.replace live u ()) (Instr.uses i);
-          here := max !here (Hashtbl.length live))
-        (List.rev b.instrs);
-      max acc !here)
-    0 fn.blocks
+          Option.iter (Liveness.add live) (Instr.def i);
+          List.iter (Liveness.add live) (Instr.uses i))
+        b.instrs;
+      peak := max !peak (Liveness.cardinal live))
+    fn.blocks;
+  !peak
 
 (** Annotate [fn] with its spill order and pressure estimate. *)
 let run_func ?account (fn : Func.t) : unit =

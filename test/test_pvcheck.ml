@@ -79,11 +79,13 @@ let test_short_campaign_green () =
       f.Pvcheck.Harness.stage f.Pvcheck.Harness.what f.Pvcheck.Harness.detail)
 
 (* The full path matrix — every engine, AOT included, and every machine —
-   over eight fixed programs: five recursive ones the JIT's immediate
+   over nine fixed programs: five recursive ones the JIT's immediate
    folding once miscompiled (it folded parameters as constants), the
-   source of the LICM reproducer in test_pvopt, and two memory faults (a
+   source of the LICM reproducer in test_pvopt, two memory faults (a
    null load and an out-of-range store), which once escaped every oracle
-   as a raw exception instead of being compared as traps.  Accounting is
+   as a raw exception instead of being compared as traps, and a loop
+   whose header is the entry block, whose spilled parameter once made
+   the register allocator raise instead of converge.  Accounting is
    compared on every outcome, fuel traps included, and the migration and
    profiler oracles run on each program too. *)
 let null_load =
@@ -113,6 +115,80 @@ func @main() : i64 {
 }
 |}
 
+(* [f]'s loop body keeps [r0] live around the back edge to block 0 under
+   enough pressure that machines with few registers spill it. *)
+let entry_loop_spilled_param =
+  {|program "entry_loop_spilled_param"
+
+func @f(r0 : i64, r1 : i64) : i64 {
+  reg r4 : i64
+  reg r5 : i32
+  reg r6 : i64
+  reg r10 : i64
+  reg r11 : i64
+  reg r12 : i64
+  reg r13 : i64
+  reg r14 : i64
+  reg r15 : i64
+  reg r16 : i64
+  reg r17 : i64
+  reg r18 : i64
+  reg r19 : i64
+  reg r30 : i64
+  reg r31 : i64
+  reg r32 : i64
+  reg r33 : i64
+  reg r34 : i64
+  reg r35 : i64
+  reg r36 : i64
+  reg r37 : i64
+  reg r38 : i64
+  reg r39 : i64
+  block 0:
+    r4 = const 0:i64
+    r5 = cmp sgt r1, r4
+    cbr r5, 1, 2
+  block 1:
+    r10 = add r0, r1
+    r11 = add r0, r10
+    r12 = add r0, r11
+    r13 = add r0, r12
+    r14 = add r0, r13
+    r15 = add r0, r14
+    r16 = add r0, r15
+    r17 = add r0, r16
+    r18 = add r0, r17
+    r19 = add r0, r18
+    r30 = add r1, r10
+    r31 = add r30, r11
+    r32 = add r31, r12
+    r33 = add r32, r13
+    r34 = add r33, r14
+    r35 = add r34, r15
+    r36 = add r35, r16
+    r37 = add r36, r17
+    r38 = add r37, r18
+    r39 = add r38, r19
+    r0 = add r0, r39
+    r6 = const 1:i64
+    r1 = sub r1, r6
+    br 0
+  block 2:
+    ret r0
+}
+
+func @main() : i64 {
+  reg r0 : i64
+  reg r1 : i64
+  reg r2 : i64
+  block 0:
+    r0 = const 7:i64
+    r1 = const 5:i64
+    r2 = call @f(r0, r1)
+    ret r2
+}
+|}
+
 let fixed_programs =
   List.map
     (fun seed ->
@@ -122,6 +198,7 @@ let fixed_programs =
       ("seed 301816", Pvcheck.Gen.program ~seed:301816);
       ("null load", Parse.program null_load);
       ("out-of-range store", Parse.program wild_store);
+      ("entry-block loop", Parse.program entry_loop_spilled_param);
     ]
 
 let test_fixed_seeds_full_matrix () =

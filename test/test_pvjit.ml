@@ -267,6 +267,158 @@ let test_immfold_param_not_constant () =
         (Pvvm.Sim.run sim "main" [] = expected))
     Machine.all
 
+(* ---------------- entry block as a branch target ---------------- *)
+
+(* The verifier lets a block branch back to block 0, so a function's
+   entry block can be a loop header.  The JIT puts per-call code at the
+   top of its entry block: the arg-slot loads of stack-passed parameters
+   and the stores of spilled parameters.  Both must run once per call,
+   not on every back edge. *)
+
+(* [f]'s fourth parameter is its loop counter; x86ish passes only three
+   in registers, so [r3] arrives in an arg slot. *)
+let entry_loop_stack_param =
+  {|program "entry_loop_stack_param"
+
+func @f(r0 : i64, r1 : i64, r2 : i64, r3 : i64) : i64 {
+  reg r4 : i64
+  reg r5 : i32
+  reg r6 : i64
+  block 0:
+    r4 = const 0:i64
+    r5 = cmp sgt r3, r4
+    cbr r5, 1, 2
+  block 1:
+    r0 = add r0, r3
+    r6 = const 1:i64
+    r3 = sub r3, r6
+    br 0
+  block 2:
+    ret r0
+}
+
+func @main() : i64 {
+  reg r0 : i64
+  reg r1 : i64
+  reg r2 : i64
+  reg r3 : i64
+  block 0:
+    r0 = const 100:i64
+    r1 = const 0:i64
+    r2 = const 5:i64
+    r3 = call @f(r0, r1, r1, r2)
+    ret r3
+}
+|}
+
+(* Enough pressure in the loop body that [r0], a parameter live around
+   the back edge, is spilled on machines with few registers. *)
+let entry_loop_spilled_param =
+  {|program "entry_loop_spilled_param"
+
+func @f(r0 : i64, r1 : i64) : i64 {
+  reg r4 : i64
+  reg r5 : i32
+  reg r6 : i64
+  reg r10 : i64
+  reg r11 : i64
+  reg r12 : i64
+  reg r13 : i64
+  reg r14 : i64
+  reg r15 : i64
+  reg r16 : i64
+  reg r17 : i64
+  reg r18 : i64
+  reg r19 : i64
+  reg r30 : i64
+  reg r31 : i64
+  reg r32 : i64
+  reg r33 : i64
+  reg r34 : i64
+  reg r35 : i64
+  reg r36 : i64
+  reg r37 : i64
+  reg r38 : i64
+  reg r39 : i64
+  block 0:
+    r4 = const 0:i64
+    r5 = cmp sgt r1, r4
+    cbr r5, 1, 2
+  block 1:
+    r10 = add r0, r1
+    r11 = add r0, r10
+    r12 = add r0, r11
+    r13 = add r0, r12
+    r14 = add r0, r13
+    r15 = add r0, r14
+    r16 = add r0, r15
+    r17 = add r0, r16
+    r18 = add r0, r17
+    r19 = add r0, r18
+    r30 = add r1, r10
+    r31 = add r30, r11
+    r32 = add r31, r12
+    r33 = add r32, r13
+    r34 = add r33, r14
+    r35 = add r34, r15
+    r36 = add r35, r16
+    r37 = add r36, r17
+    r38 = add r37, r18
+    r39 = add r38, r19
+    r0 = add r0, r39
+    r6 = const 1:i64
+    r1 = sub r1, r6
+    br 0
+  block 2:
+    ret r0
+}
+
+func @main() : i64 {
+  reg r0 : i64
+  reg r1 : i64
+  reg r2 : i64
+  block 0:
+    r0 = const 7:i64
+    r1 = const 5:i64
+    r2 = call @f(r0, r1)
+    ret r2
+}
+|}
+
+let test_entry_block_branch_target () =
+  Pvaot.install ();
+  List.iter
+    (fun (src, expected) ->
+      let prog = Pvir.Parse.program src in
+      let reference =
+        (Pvcheck.Oracle.run_interp prog Pvvm.Vm.Tree_walk).Pvcheck.Oracle.iobs
+          .Pvcheck.Oracle.outcome
+      in
+      let show = Pvcheck.Oracle.outcome_to_string in
+      let name = prog.Pvir.Prog.pname in
+      check Alcotest.string (name ^ ": interpreter")
+        (show (Pvcheck.Oracle.Finished (Some (Pvir.Value.i64 expected))))
+        (show reference);
+      List.iter
+        (fun (machine : Machine.t) ->
+          List.iter
+            (fun (hints, hname) ->
+              List.iter
+                (fun engine ->
+                  let r = Pvcheck.Oracle.run_jit prog machine hints engine in
+                  check Alcotest.string
+                    (Printf.sprintf "%s on %s, %s, %s" name machine.Machine.name
+                       hname (Pvvm.Vm.engine_name engine))
+                    (show reference)
+                    (show r.Pvcheck.Oracle.jobs.Pvcheck.Oracle.outcome))
+                Pvvm.Vm.engines)
+            [
+              (Pvjit.Jit.Hints_none, "no hints");
+              (Pvjit.Jit.Hints_recompute, "recomputed hints");
+            ])
+        Machine.all)
+    [ (entry_loop_stack_param, 115L); (entry_loop_spilled_param, 4403851547L) ]
+
 (* ---------------- register allocation ---------------- *)
 
 let test_regalloc_all_physical () =
@@ -535,6 +687,11 @@ let () =
           Alcotest.test_case "semantics" `Quick test_immfold_keeps_semantics;
           Alcotest.test_case "parameter is not a constant" `Quick
             test_immfold_param_not_constant;
+        ] );
+      ( "entry block",
+        [
+          Alcotest.test_case "branch target" `Quick
+            test_entry_block_branch_target;
         ] );
       ( "regalloc",
         [

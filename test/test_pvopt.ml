@@ -517,16 +517,185 @@ let test_liveness_param () =
   let src = "i64 main(i64 x) { i64 y = 1; while (y < x) { y = y + y; } return y; }" in
   let p = Core.Splitc.frontend src in
   let fn = Pvir.Prog.find_func_exn p "main" in
-  let cfg = Pvopt.Cfg.build fn in
-  let lv = Pvopt.Cfg.liveness cfg in
+  let lv = Pvopt.Cfg.liveness fn in
   (* x (reg 0) is live into the loop header *)
   let live_somewhere =
-    List.exists
-      (fun (b : Pvir.Func.block) ->
-        Hashtbl.mem (Pvopt.Cfg.live_in_of lv b.Pvir.Func.label) 0)
-      fn.Pvir.Func.blocks
+    Array.exists (fun s -> Pvopt.Liveness.mem s 0) lv.Pvopt.Liveness.live_in
   in
   check bool_t "param live" true live_somewhere
+
+(* ---------------- liveness against a brute-force reference ---------------- *)
+
+(* The reference reads a block as, for each register it touches, whether
+   the first touch reads it, plus the positions of its successors.
+   Register [r] is live into block [b] iff some path from the start of
+   [b] reaches a read of [r] before any write of [r]: a depth-first
+   search that stops, on each path, at the first block touching [r]. *)
+type ref_block = { first_read : (int, bool) Hashtbl.t; succs : int list }
+
+(* [touches b] lists the registers [b] reads ([true]) and writes
+   ([false]), in execution order. *)
+let ref_blocks ~label ~succs ~touches blocks =
+  let labels = List.map label blocks in
+  let position l =
+    match List.find_index (( = ) l) labels with
+    | Some i -> i
+    | None -> Alcotest.failf "no block %d" l
+  in
+  Array.of_list
+    (List.map
+       (fun b ->
+         let first_read = Hashtbl.create 16 in
+         List.iter
+           (fun (r, read) ->
+             if not (Hashtbl.mem first_read r) then
+               Hashtbl.replace first_read r read)
+           (touches b);
+         { first_read; succs = List.map position (succs b) })
+       blocks)
+
+let live_in_ref (blocks : ref_block array) r b =
+  let seen = Array.make (Array.length blocks) false in
+  let rec from b =
+    (not seen.(b))
+    && begin
+         seen.(b) <- true;
+         match Hashtbl.find_opt blocks.(b).first_read r with
+         | Some read -> read
+         | None -> List.exists from blocks.(b).succs
+       end
+  in
+  from b
+
+(* Every block and register: live-in as above, live-out as live into
+   some successor. *)
+let check_liveness ~what ~nregs blocks (lv : Pvopt.Liveness.t) =
+  check int_t (what ^ ": blocks") (Array.length blocks)
+    (Array.length lv.Pvopt.Liveness.live_in);
+  Array.iteri
+    (fun b (rb : ref_block) ->
+      for r = 0 to nregs - 1 do
+        let in_ = live_in_ref blocks r b in
+        let out = List.exists (fun s -> live_in_ref blocks r s) rb.succs in
+        if in_ <> Pvopt.Liveness.mem lv.Pvopt.Liveness.live_in.(b) r then
+          Alcotest.failf "%s: r%d live into block %d is %b" what r b in_;
+        if out <> Pvopt.Liveness.mem lv.Pvopt.Liveness.live_out.(b) r then
+          Alcotest.failf "%s: r%d live out of block %d is %b" what r b out
+      done)
+    blocks
+
+let reads regs = List.map (fun r -> (r, true)) regs
+let writes regs = List.map (fun r -> (r, false)) regs
+
+let pvir_ref_blocks (fn : Pvir.Func.t) =
+  let open Pvir in
+  ref_blocks fn.Func.blocks
+    ~label:(fun (b : Func.block) -> b.label)
+    ~succs:(fun (b : Func.block) -> Instr.successors b.term)
+    ~touches:(fun (b : Func.block) ->
+      List.concat_map
+        (fun i -> reads (Instr.uses i) @ writes (Option.to_list (Instr.def i)))
+        b.instrs
+      @ reads (Instr.term_uses b.term))
+
+let mir_ref_blocks (mf : Pvmach.Mir.func) =
+  let open Pvmach in
+  let vregs = List.filter_map (function Mir.V v -> Some v | Mir.P _ -> None) in
+  ref_blocks mf.Mir.mblocks
+    ~label:(fun (b : Mir.block) -> b.mlabel)
+    ~succs:(fun (b : Mir.block) -> Mir.term_successors b.mterm)
+    ~touches:(fun (b : Mir.block) ->
+      List.concat_map
+        (fun i ->
+          reads (vregs (Mir.inst_uses i))
+          @ writes (vregs (Option.to_list (Mir.inst_def i))))
+        b.insts
+      @ reads (vregs (Mir.term_uses b.mterm)))
+
+(* [Cfg.liveness] on one PVIR program; [Regalloc.liveness] on its
+   functions lowered, legalized and immediate-folded for every machine. *)
+let check_program_liveness ~what (p : Pvir.Prog.t) =
+  List.iter
+    (fun (fn : Pvir.Func.t) ->
+      check_liveness
+        ~what:(Printf.sprintf "%s @%s" what fn.Pvir.Func.name)
+        ~nregs:fn.Pvir.Func.next_reg (pvir_ref_blocks fn)
+        (Pvopt.Cfg.liveness fn))
+    p.Pvir.Prog.funcs;
+  let layout = Pvvm.Image.layout p in
+  List.iter
+    (fun (machine : Pvmach.Machine.t) ->
+      List.iter
+        (fun (fn : Pvir.Func.t) ->
+          let mf =
+            Pvjit.Lower.run ~machine
+              ~resolve_global:(Pvvm.Image.address layout)
+              fn
+          in
+          ignore (Pvjit.Legalize.run mf);
+          ignore (Pvjit.Immfold.run mf);
+          check_liveness
+            ~what:
+              (Printf.sprintf "%s @%s on %s" what fn.Pvir.Func.name
+                 machine.Pvmach.Machine.name)
+            ~nregs:mf.Pvmach.Mir.next_vreg (mir_ref_blocks mf)
+            (Pvjit.Regalloc.liveness mf))
+        p.Pvir.Prog.funcs)
+    Pvmach.Machine.all
+
+let test_liveness_reference () =
+  for seed = 1 to 100 do
+    List.iter
+      (fun (kind, gen) ->
+        let raw = gen ~seed in
+        let split = Pvir.Prog.copy raw in
+        ignore (Pvopt.Passes.offline_split split);
+        check_program_liveness ~what:(Printf.sprintf "%s %d raw" kind seed) raw;
+        check_program_liveness
+          ~what:(Printf.sprintf "%s %d split" kind seed)
+          split)
+      [
+        ("program", Pvcheck.Gen.program);
+        ("program_recursive", Pvcheck.Gen.program_recursive);
+      ]
+  done
+
+(* 250 registers defined before a loop, each read and rewritten inside it
+   and read after it: all of them are live around the back edge, so the
+   loop's live sets span several bitset words. *)
+let test_liveness_wide () =
+  let open Pvir in
+  let fn = Func.create ~name:"main" ~params:[] ~ret:(Some Types.i64) in
+  let reg () = Func.fresh_reg fn Types.i64 in
+  let wide = List.init 250 (fun _ -> reg ()) in
+  let n = reg () and zero = reg () and one = reg () and acc = reg () in
+  let cond = Func.fresh_reg fn Types.i32 in
+  let entry = Func.add_block fn and header = Func.add_block fn in
+  let body = Func.add_block fn and exit = Func.add_block fn in
+  entry.instrs <-
+    List.mapi (fun i r -> Instr.Const (r, Value.i64 (Int64.of_int i))) wide
+    @ [
+        Instr.Const (n, Value.i64 10L);
+        Instr.Const (zero, Value.i64 0L);
+        Instr.Const (one, Value.i64 1L);
+      ];
+  entry.term <- Instr.Br header.label;
+  header.instrs <- [ Instr.Cmp (Instr.Sgt, cond, n, zero) ];
+  header.term <- Instr.Cbr (cond, body.label, exit.label);
+  body.instrs <-
+    List.map (fun r -> Instr.Binop (Instr.Add, r, r, n)) wide
+    @ [ Instr.Binop (Instr.Sub, n, n, one) ];
+  body.term <- Instr.Br header.label;
+  exit.instrs <-
+    Instr.Const (acc, Value.i64 0L)
+    :: List.map (fun r -> Instr.Binop (Instr.Add, acc, acc, r)) wide;
+  exit.term <- Instr.Ret (Some acc);
+  let p = Prog.create "wide_loop" in
+  Prog.add_func p fn;
+  (* the header is block 1 *)
+  check bool_t "at least 200 live into the loop header" true
+    (Pvopt.Liveness.cardinal (Pvopt.Cfg.liveness fn).live_in.(1) >= 200);
+  check_program_liveness ~what:"wide loop" p
 
 (* ---------------- vectorizer ---------------- *)
 
@@ -934,6 +1103,10 @@ let () =
         [
           Alcotest.test_case "dominators" `Quick test_dominators;
           Alcotest.test_case "liveness" `Quick test_liveness_param;
+          Alcotest.test_case "liveness = reference" `Quick
+            test_liveness_reference;
+          Alcotest.test_case "liveness over 250 registers" `Quick
+            test_liveness_wide;
         ] );
       ( "vectorize",
         [

@@ -111,12 +111,19 @@ let test_matches_single_threaded () =
    [compile_artifact], that is, with itself; this one compares it with
    the device path, [Jit.compile_program] on a full [Image.load], over
    the serve benchmark's whole population (1,000 keys), so global
-   addresses drifting from the loader's would show here. *)
+   addresses drifting from the loader's would show here.
+
+   The concatenated artifacts are also pinned by size and MD5.  They
+   carry the JIT's register numbering, which no other test sees, so a
+   change that was meant to leave code generation alone must leave this
+   digest alone too.  An intended codegen change updates the pin and
+   gives the reason in CHANGES.md. *)
 let test_layout_path_matches_image_path () =
   let corpus =
     Pvserve.Load.corpus ~gen_seeds:(List.init 186 (fun i -> i + 1)) ()
   in
   let keys = ref 0 in
+  let all = Buffer.create (1 lsl 20) in
   List.iter
     (fun (name, bc) ->
       List.iter
@@ -141,11 +148,16 @@ let test_layout_path_matches_image_path () =
           | Ok served ->
             Alcotest.(check string)
               (Printf.sprintf "%s on %s" name machine.Pvmach.Machine.name)
-              device served
+              device served;
+            Buffer.add_string all served
           | Error e -> Alcotest.failf "%s: %s" name e)
         Pvmach.Machine.all)
     corpus;
-  Alcotest.(check int) "the serve population" 1000 !keys
+  Alcotest.(check int) "the serve population" 1000 !keys;
+  Alcotest.(check int) "artifact bytes" 1_104_904 (Buffer.length all);
+  Alcotest.(check string)
+    "artifact digest" "42dbb2ad481c715989896f2bbcd7315e"
+    (Digest.to_hex (Digest.string (Buffer.contents all)))
 
 (* [Serial.decode] does not verify, so the compile path is the only
    verifier a request meets.  Bytecode that decodes but does not verify
