@@ -1,7 +1,8 @@
 (** Out-of-process plugin builds for the AOT backend.
 
     The generated source (see {!Interp_gen}/{!Sim_gen}) references host
-    library modules ([Pvir.Value], [Pvvm.Aotabi], ...) directly, so the
+    library modules ([Pvir.Value], [Pvvm.Aotabi], [Pvaot.Lanes], ...)
+    directly, so the
     only thing a plugin compile needs beyond a working compiler is the
     [.cmi] files of those libraries.  We find them by walking up from the
     running executable (and the cwd) to dune's [_build/default] tree —
@@ -21,8 +22,11 @@
    interpreter backend's fuel traps rewind the charge batch, so their
    counters match the threaded engine's.  8: plugins raise [Pvvm.Vm.Trap]
    and call [Pvvm.Vm.intrinsic] on the context's output buffer; the
-   context no longer carries trap and intrinsic closures. *)
-let codegen_version = 8
+   context no longer carries trap and intrinsic closures.  9: both
+   backends emit through the shared [Emit] core (fuel rewinds cover
+   spill operations); simulator plugins are typed per def-use web, batch
+   their charges and keep vector lanes unboxed via [Lanes]. *)
+let codegen_version = 9
 
 type toolchain = {
   native : bool;  (** true: ocamlopt -shared -> .cmxs; false: ocamlc -> .cmo *)
@@ -78,7 +82,7 @@ let find_compiler () =
   List.find_opt command_ok candidates
 
 (* The host libraries whose interfaces generated code refers to. *)
-let needed_libs = [ "pvir"; "pvmach"; "pvvm"; "pvtrace" ]
+let needed_libs = [ "pvir"; "pvmach"; "pvvm"; "pvtrace"; "pvaot" ]
 
 let objs_dir root lib =
   List.fold_left Filename.concat root

@@ -3,14 +3,15 @@
 
     [install ()] points the [Pvvm.Interp.aot_hook] / [Pvvm.Sim.aot_hook]
     inversion points at runners in this module.  Each runner prepares
-    compiled code for the engine's program (memoized per image / code
-    snapshot, backed by a digest-keyed on-disk artifact cache), seeds an
-    {!Pvvm.Aotabi.ctx} from the engine state, runs the plugin entry and
-    flushes counters back — falling back to the threaded engine whenever
-    the toolchain is unavailable, the program uses something the
-    generator does not support, or the entry arguments do not match the
-    declared parameter shapes.  Fallback preserves observable behaviour
-    exactly, so selecting the AOT engine is always safe. *)
+    compiled code for the engine's program once (kept on the engine,
+    backed by an in-process plugin table and a digest-keyed on-disk
+    artifact cache), seeds an {!Pvvm.Aotabi.ctx} from the engine state,
+    runs the plugin entry and flushes counters back — falling back to the
+    threaded engine whenever the toolchain is unavailable, the program
+    uses something the generator does not support, or the entry
+    arguments do not match the parameter shapes the generated code
+    unboxes.  Fallback preserves observable behaviour exactly, so
+    selecting the AOT engine is always safe. *)
 
 module Aotabi = Pvvm.Aotabi
 
@@ -24,7 +25,7 @@ module Interp_gen = Interp_gen
 (* Degradation ledger                                                  *)
 
 (* All module-level mutable state below (ledger cell, once-flags, the
-   three prepared-code memos) is process-global and may be touched from
+   loaded-plugin memo) is process-global and may be touched from
    several Domains at once — [mu] covers every read-modify-write.  The
    out-of-process compile itself runs outside the lock (it is the slow
    part and [Build] serializes the disk cache internally). *)
@@ -73,43 +74,28 @@ let unavailable_reason () =
   match Build.toolchain () with Ok _ -> None | Error e -> Some e
 
 (* ------------------------------------------------------------------ *)
-(* Prepared-code memos                                                 *)
+(* Prepared code                                                       *)
 
-type prepared = {
+(* The outcome of preparing an engine lives on the engine itself
+   ([Pvvm.Interp.t.aot], [Pvvm.Sim.t.aot]; [Sim.add_func] drops it), so
+   the hot path re-running one engine never regenerates source to find
+   its code again. *)
+type prepared = Aotabi.prepared = {
   digest : string;
   entries : (string * Aotabi.entry) list;
   origin : string;  (** "compiled" | "disk-cache" | "memo" *)
 }
 
-type outcome = Ready of prepared | Fallback of string
+type outcome = Aotabi.outcome = Ready of prepared | Fallback of string
 
-(* Loaded plugins by digest: a second image of the same program (the
+(* Loaded plugins by digest: a second engine on the same program (the
    oracle reloads constantly) reuses the already-linked code. *)
 let digest_memo : (string, (string * Aotabi.entry) list) Hashtbl.t =
   Hashtbl.create 8
 
-(* Per-image outcome memo, keyed by physical identity: the hot path
-   (bench loops re-running one image) must not re-generate source just
-   to rediscover the digest. *)
-let interp_memo : (Pvvm.Image.t * int * outcome) list ref = ref []
-let memo_cap = 8
-
-(* Per-simulator memo: the outcome is valid only for the code-cache
-   snapshot it was generated from, so each hit re-validates the snapshot
-   by physical identity (an [add_func] invalidates it). *)
-type sim_memo_entry = {
-  sm_sim : Pvvm.Sim.t;
-  sm_snapshot : (string * Pvmach.Mir.func) list;
-  sm_outcome : outcome;
-}
-
-let sim_memo : sim_memo_entry list ref = ref []
-
-let reset_memos () =
-  locked (fun () ->
-      interp_memo := [];
-      sim_memo := [];
-      Hashtbl.reset digest_memo)
+(** Forget every loaded plugin, so the next prepare goes to the disk
+    cache (or compiles).  Engines keep their own prepared outcomes. *)
+let reset_memos () = locked (fun () -> Hashtbl.reset digest_memo)
 
 (** Compile (or fetch) plugin entries for [digest]/[source], with
     per-phase spans on the JIT track of [tr].
@@ -228,38 +214,41 @@ let flush_interp_ctx (t : Pvvm.Interp.t) (c : Aotabi.ctx) =
   t.Pvvm.Interp.stats.Pvvm.Interp.calls <- c.Aotabi.calls;
   t.Pvvm.Interp.sp <- c.Aotabi.sp
 
-(** Prepare (or fetch) compiled code for an interpreter's image. *)
+(* Generate, then compile or fetch, on an available toolchain; [wrap]
+   adapts each loaded entry to its engine. *)
+let prepare_with tr ~subject gen =
+  match Build.toolchain () with
+  | Error e ->
+    record_unavailable ~subject e;
+    Fallback ("toolchain: " ^ e)
+  | Ok _ -> (
+    match
+      Pvtrace.Trace.with_span tr ~tid:Pvtrace.Trace.track_jit ~cat:"aot"
+        "aot:codegen" gen
+    with
+    | exception e -> Fallback ("codegen: " ^ Printexc.to_string e)
+    | digest, src_digest, source, wrap -> (
+      match
+        build_entries tr ~subject ~digest ~src_digest ~source:(fun () -> source)
+      with
+      | Ready p -> Ready { p with entries = List.map wrap p.entries }
+      | o -> o))
+
+(** Prepare (or fetch) compiled code for an interpreter's image; the
+    outcome stays on the interpreter. *)
 let prepare_interp (t : Pvvm.Interp.t) : outcome =
-  let img = t.Pvvm.Interp.img in
-  let dc = t.Pvvm.Interp.dispatch_cost in
-  match
-    locked (fun () ->
-        List.find_opt (fun (i, d, _) -> i == img && d = dc) !interp_memo)
-  with
-  | Some (_, _, o) -> o
+  match t.Pvvm.Interp.aot with
+  | Some o -> o
   | None ->
     let o =
-      match Build.toolchain () with
-      | Error e ->
-        record_unavailable ~subject:"interp" e;
-        Fallback ("toolchain: " ^ e)
-      | Ok _ -> (
-        match
-          Pvtrace.Trace.with_span t.Pvvm.Interp.tr
-            ~tid:Pvtrace.Trace.track_jit ~cat:"aot" "aot:codegen" (fun () ->
-              Interp_gen.generate img ~dispatch_cost:dc)
-        with
-        | exception e -> Fallback ("codegen: " ^ Printexc.to_string e)
-        | digest, src_digest, source ->
-          build_entries t.Pvvm.Interp.tr ~subject:"interp" ~digest ~src_digest
-            ~source:(fun () -> source))
+      prepare_with t.Pvvm.Interp.tr ~subject:"interp" (fun () ->
+          let digest, src_digest, source =
+            Interp_gen.generate t.Pvvm.Interp.img
+              ~dispatch_cost:t.Pvvm.Interp.dispatch_cost
+          in
+          (digest, src_digest, source, Fun.id))
     in
-    locked (fun () ->
-        interp_memo :=
-          (img, dc, o)
-          :: (if List.length !interp_memo >= memo_cap then
-                List.filteri (fun i _ -> i < memo_cap - 1) !interp_memo
-              else !interp_memo));
+    t.Pvvm.Interp.aot <- Some o;
     o
 
 let interp_runner (t : Pvvm.Interp.t) (fn : Pvir.Func.t)
@@ -306,13 +295,10 @@ let sim_snapshot (t : Pvvm.Sim.t) : (string * Pvmach.Mir.func) list =
   Hashtbl.fold
     (fun name (ce : Pvvm.Sim.centry) acc -> (name, ce.Pvvm.Sim.cfn) :: acc)
     t.Pvvm.Sim.code []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let snapshot_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (n1, f1) (n2, f2) -> String.equal n1 n2 && f1 == f2)
-       a b
+(* Raised by a simulator entry before it touches the context: the
+   arguments do not fit the shapes the generated code unboxes. *)
+exception Shape_mismatch
 
 let sim_ctx (t : Pvvm.Sim.t) : Aotabi.ctx =
   {
@@ -335,39 +321,27 @@ let flush_sim_ctx (t : Pvvm.Sim.t) (c : Aotabi.ctx) =
   t.Pvvm.Sim.sp <- c.Aotabi.sp
 
 (** Prepare (or fetch) compiled code for a simulator's current code
-    cache. *)
+    cache; the outcome stays on the simulator until {!Pvvm.Sim.add_func}
+    changes the cache.  Each entry checks host-supplied arguments
+    against the shapes its generated code unboxes. *)
 let prepare_sim (t : Pvvm.Sim.t) : outcome =
-  let snap = sim_snapshot t in
-  match locked (fun () -> List.find_opt (fun e -> e.sm_sim == t) !sim_memo) with
-  | Some e when snapshot_equal snap e.sm_snapshot -> e.sm_outcome
-  | hit ->
+  match t.Pvvm.Sim.aot with
+  | Some o -> o
+  | None ->
     let o =
-      match Build.toolchain () with
-      | Error e ->
-        record_unavailable ~subject:"sim" e;
-        Fallback ("toolchain: " ^ e)
-      | Ok _ -> (
-        match
-          Pvtrace.Trace.with_span t.Pvvm.Sim.tr ~tid:Pvtrace.Trace.track_jit
-            ~cat:"aot" "aot:codegen" (fun () ->
-              Sim_gen.generate t.Pvvm.Sim.machine snap)
-        with
-        | exception e -> Fallback ("codegen: " ^ Printexc.to_string e)
-        | digest, src_digest, source ->
-          build_entries t.Pvvm.Sim.tr ~subject:"sim" ~digest ~src_digest
-            ~source:(fun () -> source))
+      prepare_with t.Pvvm.Sim.tr ~subject:"sim" (fun () ->
+          let g = Sim_gen.generate t.Pvvm.Sim.machine (sim_snapshot t) in
+          let guard (name, (entry : Aotabi.entry)) =
+            match List.assoc_opt name g.Sim_gen.accepts with
+            | None -> (name, entry)
+            | Some fits ->
+              ( name,
+                fun c args ->
+                  if fits args then entry c args else raise Shape_mismatch )
+          in
+          (g.Sim_gen.digest, g.Sim_gen.src_digest, g.Sim_gen.source, guard))
     in
-    let entry = { sm_sim = t; sm_snapshot = snap; sm_outcome = o } in
-    locked (fun () ->
-        let rest =
-          match hit with
-          | Some _ -> List.filter (fun e -> not (e.sm_sim == t)) !sim_memo
-          | None ->
-            if List.length !sim_memo >= memo_cap then
-              List.filteri (fun i _ -> i < memo_cap - 1) !sim_memo
-            else !sim_memo
-        in
-        sim_memo := entry :: rest);
+    t.Pvvm.Sim.aot <- Some o;
     o
 
 let sim_runner (t : Pvvm.Sim.t) (fn : Pvmach.Mir.func)
@@ -380,14 +354,17 @@ let sim_runner (t : Pvvm.Sim.t) (fn : Pvmach.Mir.func)
     | Ready p -> (
       match List.assoc_opt fn.Pvmach.Mir.mname p.entries with
       | None -> fallback ()
-      | Some entry ->
-        (* everything stays boxed in the generated code, so no argument
-           shape validation is needed; arity mismatches raise the
-           engine's exact trap inside the plugin *)
+      | Some entry -> (
+        (* a mismatch leaves the context untouched, so its flush is a
+           no-op before the threaded run *)
         let c = sim_ctx t in
-        Fun.protect
-          ~finally:(fun () -> flush_sim_ctx t c)
-          (fun () -> entry c args)))
+        match
+          Fun.protect
+            ~finally:(fun () -> flush_sim_ctx t c)
+            (fun () -> entry c args)
+        with
+        | r -> r
+        | exception Shape_mismatch -> fallback ())))
   | _ -> fallback ()
 
 (* ------------------------------------------------------------------ *)

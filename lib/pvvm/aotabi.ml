@@ -42,6 +42,20 @@ type ctx = {
 (** One compiled function: same shape as an engine call. *)
 type entry = ctx -> Pvir.Value.t list -> Pvir.Value.t option
 
+(** Compiled code prepared for one engine instance: where it came from
+    ("compiled", "disk-cache" or "memo", the in-process plugin table)
+    and its entries.  The engines keep the outcome on themselves, so the
+    hot path never regenerates source to find it again. *)
+type prepared = {
+  digest : string;
+  entries : (string * entry) list;
+  origin : string;
+}
+
+(** [Fallback reason]: calls run threaded (toolchain unavailable, or the
+    program uses something the generator does not compile). *)
+type outcome = Ready of prepared | Fallback of string
+
 (** What a plugin publishes: its entry table plus, for current-format
     plugins, the digest of the generated source *body* it was compiled
     from.  The cache key already folds in the generator version; the body

@@ -96,6 +96,8 @@ type t = {
   mutable sstack : string list;
       (** shadow activation stack for the sampler (function names,
           innermost first); maintained only while a sampler is armed *)
+  mutable aot : Aotabi.outcome option;
+      (** the AOT backend's prepared code for [img] (see [lib/pvaot]) *)
 }
 
 let create ?(dispatch_cost = 8) ?profile ?sampler ?(fuel = 1_000_000_000L)
@@ -120,6 +122,7 @@ let create ?(dispatch_cost = 8) ?profile ?sampler ?(fuel = 1_000_000_000L)
       | Some s -> Pvprof.next_at s
       | None -> Int64.max_int);
     sstack = [];
+    aot = None;
   }
 
 (** Arm a sampling profiler (or re-arm after {!create} without one). *)

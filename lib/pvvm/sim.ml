@@ -62,6 +62,9 @@ type t = {
       (** telemetry sink: spans are emitted only at the public entry
           points (never inside the dispatch loop), so tracing costs
           nothing per simulated instruction *)
+  mutable aot : Aotabi.outcome option;
+      (** the AOT backend's prepared code for the current [code] cache
+          (see [lib/pvaot]); {!add_func} drops it *)
 }
 
 let create ?(fuel = 2_000_000_000L) ?(engine = Threaded) ?tr img machine =
@@ -75,12 +78,14 @@ let create ?(fuel = 2_000_000_000L) ?(engine = Threaded) ?tr img machine =
     fuel;
     engine;
     tr;
+    aot = None;
   }
 
 let set_trace t tr = t.tr <- tr
 
 let add_func t (fn : Mir.func) =
-  Hashtbl.replace t.code fn.Mir.mname { cfn = fn; cdec = None }
+  Hashtbl.replace t.code fn.Mir.mname { cfn = fn; cdec = None };
+  t.aot <- None
 
 let output t = Buffer.contents t.out
 let cycles t = t.stats.cycles

@@ -79,30 +79,46 @@ let test_table1_kernel (k : Kernels.t) () =
 
 (* ---------------- fuel traps ---------------- *)
 
-(* A fuel budget that runs out inside one of the AOT engine's charge
-   batches must still leave the counters exactly where the threaded
-   engine's per-instruction check stops them.  Seven consecutive budgets
-   around half a kernel run are bound to land mid-block. *)
-let fuel_trap_counters engine (k : Kernels.t) fuel =
-  let _, it = kernel_interp ~fuel engine k in
-  (match Pvvm.Interp.run it k.Kernels.entry (Harness.args k 256) with
-  | _ -> Alcotest.failf "%s: fuel %Ld did not run out" k.Kernels.name fuel
-  | exception Pvvm.Vm.Trap m ->
-    Alcotest.(check string) "fuel trap" Pvvm.Interp.fuel_exhausted_msg m);
-  let st = it.Pvvm.Interp.stats in
-  (st.Pvvm.Interp.cycles, st.Pvvm.Interp.instrs, st.Pvvm.Interp.calls)
-
-let test_fuel_trap_kernel (k : Kernels.t) () =
-  let half = Int64.div (run_kernel Pvvm.Interp.Threaded k).instrs 2L in
+(* A fuel budget that runs out inside one of the AOT engines' charge
+   batches must still leave every counter exactly where the threaded
+   engine's per-instruction check stops it.  Seven consecutive budgets
+   around half a run are bound to land mid-batch.  [counters engine fuel]
+   runs out of [fuel] on [engine] and returns the named counters. *)
+let check_fuel_parity name ~half counters =
   for j = 0 to 6 do
     let fuel = Int64.add half (Int64.of_int j) in
-    let name what = Printf.sprintf "%s fuel %Ld: %s" k.Kernels.name fuel what in
-    let c0, i0, n0 = fuel_trap_counters Pvvm.Interp.Threaded k fuel in
-    let c1, i1, n1 = fuel_trap_counters Pvvm.Interp.Aot k fuel in
-    Alcotest.(check int64) (name "cycles") c0 c1;
-    Alcotest.(check int64) (name "instrs") i0 i1;
-    Alcotest.(check int) (name "calls") n0 n1
+    List.iter2
+      (fun (what, th) (_, aot) ->
+        Alcotest.(check int64)
+          (Printf.sprintf "%s fuel %Ld: %s" name fuel what)
+          th aot)
+      (counters `Threaded fuel) (counters `Aot fuel)
   done
+
+let expect_fuel_trap name fuel msg run =
+  match run () with
+  | _ -> Alcotest.failf "%s: fuel %Ld did not run out" name fuel
+  | exception Pvvm.Vm.Trap m -> Alcotest.(check string) "fuel trap" msg m
+
+let test_fuel_trap_kernel (k : Kernels.t) () =
+  let counters engine fuel =
+    let engine =
+      match engine with
+      | `Threaded -> Pvvm.Interp.Threaded
+      | `Aot -> Pvvm.Interp.Aot
+    in
+    let _, it = kernel_interp ~fuel engine k in
+    expect_fuel_trap k.Kernels.name fuel Pvvm.Interp.fuel_exhausted_msg
+      (fun () -> Pvvm.Interp.run it k.Kernels.entry (Harness.args k 256));
+    let st = it.Pvvm.Interp.stats in
+    [
+      ("cycles", st.Pvvm.Interp.cycles);
+      ("instrs", st.Pvvm.Interp.instrs);
+      ("calls", Int64.of_int st.Pvvm.Interp.calls);
+    ]
+  in
+  let half = Int64.div (run_kernel Pvvm.Interp.Threaded k).instrs 2L in
+  check_fuel_parity k.Kernels.name ~half counters
 
 (* ---------------- pinned random-program corpus ---------------- *)
 
@@ -132,40 +148,149 @@ let test_corpus_seed seed () =
 
 (* ---------------- simulator engine (JIT-lowered MIR) ---------------- *)
 
-(* The simulator backend charges per instruction, so its accounting is
-   compared unconditionally — fuel outcomes included. *)
+type sim_run = {
+  sobs : Harness.observation;
+  scycles : int64;
+  sinstrs : int64;
+  sspills : int64;
+}
+
+(* A simulator on [k]'s split bytecode for [machine]. *)
+let kernel_sim ?fuel (machine : Pvmach.Machine.t) (engine : Pvvm.Sim.engine)
+    (k : Kernels.t) =
+  let p = Core.Splitc.frontend ~name:k.Kernels.name k.Kernels.source in
+  let off = Core.Splitc.offline ~mode:Core.Splitc.Split p in
+  let on =
+    Core.Splitc.online ~mode:Core.Splitc.Split ~machine ~engine
+      (Core.Splitc.distribute off)
+  in
+  Harness.fill_inputs on.Core.Splitc.img;
+  let sim = on.Core.Splitc.sim in
+  Option.iter (fun f -> sim.Pvvm.Sim.fuel <- f) fuel;
+  (on.Core.Splitc.img, sim)
+
+let sim_counters (sim : Pvvm.Sim.t) =
+  let st = sim.Pvvm.Sim.stats in
+  (st.Pvvm.Sim.cycles, st.Pvvm.Sim.instrs, st.Pvvm.Sim.spill_ops)
+
+let run_sim ?(n = Kernels.n_default) machine engine (k : Kernels.t) : sim_run =
+  let img, sim = kernel_sim machine engine k in
+  let result = Pvvm.Sim.run sim k.Kernels.entry (Harness.args k n) in
+  let scycles, sinstrs, sspills = sim_counters sim in
+  {
+    sobs =
+      {
+        Harness.result;
+        globals = Harness.observe_globals img;
+        printed = Pvvm.Sim.output sim;
+      };
+    scycles;
+    sinstrs;
+    sspills;
+  }
+
+(* Simulator accounting is compared unconditionally: cycles,
+   instructions and spill traffic, fuel outcomes included. *)
 let test_sim_kernel (machine : Pvmach.Machine.t) (k : Kernels.t) () =
-  let th =
-    Harness.run_jit ~mode:Core.Splitc.Split ~machine
-      ~engine:Pvvm.Sim.Threaded k
-  in
-  let aot =
-    Harness.run_jit ~mode:Core.Splitc.Split ~machine ~engine:Pvvm.Sim.Aot k
-  in
+  let th = run_sim machine Pvvm.Sim.Threaded k in
+  let aot = run_sim machine Pvvm.Sim.Aot k in
   let name = Printf.sprintf "%s on %s" k.Kernels.name machine.Pvmach.Machine.name in
   Alcotest.(check bool)
     (name ^ ": observation")
     true
-    (Harness.observation_equal th.Harness.obs aot.Harness.obs);
-  Alcotest.(check int64) (name ^ ": cycles") th.Harness.cycles aot.Harness.cycles;
-  Alcotest.(check int64)
-    (name ^ ": spill ops")
-    th.Harness.spill_ops aot.Harness.spill_ops
+    (Harness.observation_equal th.sobs aot.sobs);
+  Alcotest.(check int64) (name ^ ": cycles") th.scycles aot.scycles;
+  Alcotest.(check int64) (name ^ ": instrs") th.sinstrs aot.sinstrs;
+  Alcotest.(check int64) (name ^ ": spill ops") th.sspills aot.sspills
+
+(* The simulator backend batches its charges too, spill operations
+   included: the same fuel-trap parity, on the simulator. *)
+let test_sim_fuel_trap machine (k : Kernels.t) () =
+  let counters engine fuel =
+    let engine =
+      match engine with `Threaded -> Pvvm.Sim.Threaded | `Aot -> Pvvm.Sim.Aot
+    in
+    let _, sim = kernel_sim ~fuel machine engine k in
+    expect_fuel_trap k.Kernels.name fuel Pvvm.Sim.fuel_exhausted_msg (fun () ->
+        Pvvm.Sim.run sim k.Kernels.entry (Harness.args k 256));
+    let c, i, s = sim_counters sim in
+    [ ("cycles", c); ("instrs", i); ("spill ops", s) ]
+  in
+  let half = Int64.div (run_sim ~n:256 machine Pvvm.Sim.Threaded k).sinstrs 2L in
+  check_fuel_parity
+    (Printf.sprintf "%s on %s" k.Kernels.name machine.Pvmach.Machine.name)
+    ~half counters
 
 (* The compiled path must really be taken for JIT output (the sim tests
-   above would be vacuous if every run fell back to threaded). *)
+   above would be vacuous if every run fell back to threaded): every
+   Table-1 kernel on every machine. *)
 let test_sim_compiles () =
-  let k = List.hd Kernels.table1 in
-  let p = Core.Splitc.frontend ~name:k.Kernels.name k.Kernels.source in
-  let off = Core.Splitc.offline ~mode:Core.Splitc.Split p in
-  let bc = Core.Splitc.distribute off in
-  let on =
-    Core.Splitc.online ~mode:Core.Splitc.Split
-      ~machine:Pvmach.Machine.x86ish bc
+  List.iter
+    (fun (m : Pvmach.Machine.t) ->
+      List.iter
+        (fun (k : Kernels.t) ->
+          let _, sim = kernel_sim m Pvvm.Sim.Aot k in
+          match Pvaot.sim_status sim with
+          | Ok (_digest, _origin) -> ()
+          | Error r ->
+            Alcotest.failf "%s on %s fell back: %s" k.Kernels.name
+              m.Pvmach.Machine.name r)
+        Kernels.table1)
+    Pvmach.Machine.all
+
+(* Host arguments of another shape than the generated code unboxes run
+   threaded: a float element count makes the threaded engine raise
+   [Eval]'s mixed-operand error, where unboxing it as an integer would
+   fail differently. *)
+let test_sim_shape_mismatch () =
+  let k = Kernels.sum_u8 in
+  let run engine =
+    let _, sim = kernel_sim Pvmach.Machine.x86ish engine k in
+    let outcome =
+      match Pvvm.Sim.run sim k.Kernels.entry [ Pvir.Value.f64 256.0 ] with
+      | _ -> "returned"
+      | exception e -> Printexc.to_string e
+    in
+    (outcome, sim_counters sim)
   in
-  match Pvaot.sim_status on.Core.Splitc.sim with
-  | Ok (_digest, _origin) -> ()
-  | Error r -> Alcotest.failf "sim code cache fell back: %s" r
+  let o0, c0 = run Pvvm.Sim.Threaded and o1, c1 = run Pvvm.Sim.Aot in
+  Alcotest.(check string) "outcome" o0 o1;
+  Alcotest.(check bool) "counters" true (c0 = c1)
+
+(* A simulator keeps its prepared code: after every kernel simulator of
+   the benchmark's configuration (12 of them) has been prepared, running
+   each again generates no source — no [aot:codegen] span. *)
+let test_sim_prepared_once () =
+  let sims =
+    List.concat_map
+      (fun m ->
+        List.map
+          (fun k ->
+            let _, sim = kernel_sim m Pvvm.Sim.Aot k in
+            (match Pvaot.prepare_sim sim with
+            | Pvaot.Ready _ -> ()
+            | Pvaot.Fallback r -> Alcotest.failf "%s fell back: %s" k.Kernels.name r);
+            (k, sim))
+          Kernels.table1)
+      [ Pvmach.Machine.x86ish; Pvmach.Machine.sparcish ]
+  in
+  List.iter
+    (fun ((k : Kernels.t), sim) ->
+      let tr = Pvtrace.Trace.create () in
+      Pvvm.Sim.set_trace sim (Some tr);
+      ignore (Pvvm.Sim.run sim k.Kernels.entry (Harness.args k 64));
+      Pvvm.Sim.set_trace sim None;
+      let codegens =
+        List.filter
+          (fun (e : Pvtrace.Trace.event) ->
+            String.equal e.Pvtrace.Trace.name "aot:codegen")
+          (Pvtrace.Trace.events tr)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s on %s: aot:codegen spans" k.Kernels.name
+           sim.Pvvm.Sim.machine.Pvmach.Machine.name)
+        0 (List.length codegens))
+    sims
 
 let test_sim_corpus_seed seed () =
   let prog = Pvcheck.Gen.program ~seed in
@@ -436,7 +561,17 @@ let () =
         List.map
           (fun (k : Kernels.t) ->
             Alcotest.test_case k.Kernels.name `Quick (test_fuel_trap_kernel k))
-          Kernels.table1 );
+          Kernels.table1
+        @ List.concat_map
+            (fun (m : Pvmach.Machine.t) ->
+              List.map
+                (fun (k : Kernels.t) ->
+                  Alcotest.test_case
+                    (Printf.sprintf "sim %s on %s" k.Kernels.name
+                       m.Pvmach.Machine.name)
+                    `Quick (test_sim_fuel_trap m k))
+                Kernels.table1)
+            [ Pvmach.Machine.x86ish; Pvmach.Machine.sparcish ] );
       ( "corpus",
         List.map
           (fun seed ->
@@ -462,7 +597,13 @@ let () =
               Alcotest.test_case
                 (Printf.sprintf "seed %d (all machines)" seed)
                 `Quick (test_sim_corpus_seed seed))
-            [ 0; 5; 11; 17; 23 ] );
+            [ 0; 5; 11; 17; 23 ]
+        @ [
+            Alcotest.test_case "prepared code kept per simulator" `Quick
+              test_sim_prepared_once;
+            Alcotest.test_case "mismatched host arguments run threaded" `Quick
+              test_sim_shape_mismatch;
+          ] );
       ( "cache",
         [
           Alcotest.test_case "annotation-only change changes key" `Quick
