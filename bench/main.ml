@@ -1371,21 +1371,28 @@ let kpn_scale () =
       Pvsched.Sched.all_policies
   in
   (* the identity gate: every policy must agree on every stream *)
-  (match results with
-  | (_, r0) :: rest ->
-    let d0 = Pvsched.Sched.streams_digest r0 in
-    List.iter
-      (fun (p, r) ->
-        if not (String.equal (Pvsched.Sched.streams_digest r) d0) then
-          failwith
-            (Printf.sprintf "kpn: %s disagrees on channel streams"
-               (Pvsched.Sched.policy_name p)))
-      rest
-  | [] -> ());
+  let digest =
+    match results with
+    | (_, r0) :: rest ->
+      let d0 = Pvsched.Sched.streams_digest r0 in
+      List.iter
+        (fun (p, r) ->
+          if not (String.equal (Pvsched.Sched.streams_digest r) d0) then
+            failwith
+              (Printf.sprintf "kpn: %s disagrees on channel streams"
+                 (Pvsched.Sched.policy_name p)))
+        rest;
+      d0
+    | [] -> ""
+  in
+  (* the digest depends on every value the kernels computed, so runs
+     under different engines can be diffed *)
   Printf.printf
-    "net: %d processes, %d channels streamed identically under all policies\n\n"
+    "net: %d processes, %d channels streamed identically under all policies\n\
+     streams digest: %s\n\n"
     (List.length net.Pvcheck.Kpncheck.nodes)
-    (match results with (_, r) :: _ -> List.length r.Pvsched.Sched.streams | [] -> 0);
+    (match results with (_, r) :: _ -> List.length r.Pvsched.Sched.streams | [] -> 0)
+    digest;
   List.iter
     (fun (policy, (r : Pvsched.Sched.result)) ->
       let name = Pvsched.Sched.policy_name policy in
@@ -1451,6 +1458,7 @@ let kpn_scale () =
           ("processes", Json.Int (Int64.of_int (List.length net.Pvcheck.Kpncheck.nodes)));
           ("valid", Json.Str (if validated then "ok" else "invalid"));
           ("streams_identical", Json.Str "ok");
+          ("streams_digest", Json.Str digest);
         ]
        @ List.map
            (fun (policy, (r : Pvsched.Sched.result)) ->

@@ -165,37 +165,36 @@ let net_to_string (net : net) : string =
 
 (** Bind [net] to runnable processes: one interpreter per instantiation
     (under [engine]) firing the node kernels of [prog], and the external
-    source tokens pushed ([vseed]-deterministic values).  Each fire pads
-    or truncates its input heads to the kernel's arity, so structural
-    shrinking never breaks invocation. *)
+    source tokens pushed ([vseed]-deterministic values).  Each node's
+    kernel is resolved once; each fire pads or truncates its input heads
+    to the kernel's arity, so structural shrinking never breaks
+    invocation. *)
 let instantiate ~(prog : Prog.t) ?profile ~(engine : Pvvm.Vm.engine)
     (net : net) : Kpn.t =
   if engine = Pvvm.Vm.Aot then Pvaot.install ();
   let img = Pvvm.Image.load (Prog.copy prog) in
   let it = Pvvm.Interp.create ?profile ~engine img in
+  let zero = Value.i64 0L in
+  (* the kernel arguments: each token's head, padded or truncated to [k] *)
+  let rec args k (toks : Kpn.token list) =
+    if k = 0 then []
+    else
+      match toks with
+      | t :: rest -> (if Array.length t > 0 then t.(0) else zero) :: args (k - 1) rest
+      | [] -> zero :: args (k - 1) []
+  in
   let procs =
     List.map
       (fun nd ->
-        let fire (toks : Kpn.token list) =
-          let vals =
-            List.map
-              (fun (t : Kpn.token) ->
-                if Array.length t > 0 then t.(0) else Value.i64 0L)
-              toks
+        let fn = Pvvm.Image.find_func img nd.nfun in
+        let fire toks =
+          let args = args nd.narity toks in
+          let result =
+            match fn with
+            | Some fn -> Pvvm.Interp.call it fn args
+            | None -> Pvvm.Vm.trap "no function %s" nd.nfun
           in
-          let rec fit k vs =
-            if k = 0 then []
-            else
-              match vs with
-              | v :: rest -> v :: fit (k - 1) rest
-              | [] -> Value.i64 0L :: fit (k - 1) []
-          in
-          let args = fit nd.narity vals in
-          let v =
-            match Pvvm.Interp.run it nd.nfun args with
-            | Some v -> v
-            | None -> Value.i64 0L
-          in
+          let v = Option.value ~default:zero result in
           List.map (fun _ -> [| v |]) nd.nouts
         in
         {
@@ -211,11 +210,7 @@ let instantiate ~(prog : Prog.t) ?profile ~(engine : Pvvm.Vm.engine)
   let t = Kpn.create procs in
   (* a source the topology never wired to a consumer (or that shrinking
      orphaned) still gets its channel: it simply quiesces as a sink *)
-  List.iter
-    (fun c ->
-      if not (Hashtbl.mem t.Kpn.channels c) then
-        Hashtbl.replace t.Kpn.channels c (Queue.create ()))
-    net.sources;
+  List.iter (Kpn.add_channel t) net.sources;
   let vr = R.rng net.vseed in
   List.iter
     (fun c ->

@@ -4,9 +4,10 @@
     deterministic and composable concurrency information" future bytecode
     should carry.  This module implements the deterministic core: processes
     connected by unbounded FIFO channels, each process firing when every
-    input has a token.  Determinism — the stream on every channel is
-    independent of the scheduling order — is the property the property
-    tests check (it is what makes the mapping freedom of {!Mapper} safe).
+    input holds the tokens one firing pops.  Determinism — the stream on
+    every channel is independent of the scheduling order — is the property
+    the property tests check (it is what makes the mapping freedom of
+    {!Mapper} safe).
 
     Tokens are {!Pvir.Value.t} vectors, so a process can stand for a
     compiled kernel invocation over a block of data. *)
@@ -25,22 +26,27 @@ type process = {
 
 type t = {
   processes : process list;
-  mutable channels : (string, token Queue.t) Hashtbl.t;
+  channels : (string, token Queue.t) Hashtbl.t;
 }
 
 exception Deadlock of string
 
+(** Register an empty channel [name] unless [t] already has one. *)
+let add_channel t name =
+  if not (Hashtbl.mem t.channels name) then
+    Hashtbl.add t.channels name (Queue.create ())
+
 let create (processes : process list) : t =
-  let channels = Hashtbl.create 16 in
+  (* nets average about two channels per process *)
+  let t =
+    { processes; channels = Hashtbl.create (2 * List.length processes) }
+  in
   List.iter
     (fun p ->
-      List.iter
-        (fun c ->
-          if not (Hashtbl.mem channels c) then
-            Hashtbl.replace channels c (Queue.create ()))
-        (p.inputs @ p.outputs))
+      List.iter (add_channel t) p.inputs;
+      List.iter (add_channel t) p.outputs)
     processes;
-  { processes; channels }
+  t
 
 let channel t name =
   match Hashtbl.find_opt t.channels name with
@@ -59,70 +65,199 @@ let drain t name : token list =
   done;
   List.rev !acc
 
+(* The readiness rule: a firing pops one token per listed input, so a
+   process is enabled when each input channel holds as many tokens as
+   its inputs list names it. *)
 let enabled t (p : process) =
-  List.for_all (fun c -> not (Queue.is_empty (channel t c))) p.inputs
+  List.for_all
+    (fun c ->
+      Queue.length (channel t c)
+      >= List.length (List.filter (String.equal c) p.inputs))
+    p.inputs
 
-(** Fire [p] once (inputs must be available). *)
+let produced_error who (p : process) outs declared =
+  invalid_arg
+    (Printf.sprintf "%s: %s produced %d tokens, declared %d" who p.pname
+       (List.length outs) declared)
+
+(** Fire [p] once. *)
 let fire_once t (p : process) =
+  if not (enabled t p) then
+    invalid_arg (Printf.sprintf "Kpn.fire: %s is not enabled" p.pname);
   let ins = List.map (fun c -> Queue.pop (channel t c)) p.inputs in
   let outs = p.fire ins in
   if List.length outs <> List.length p.outputs then
-    invalid_arg (Printf.sprintf "Kpn.fire: %s produced %d tokens, declared %d"
-                   p.pname (List.length outs) (List.length p.outputs));
+    produced_error "Kpn.fire" p outs (List.length p.outputs);
   List.iter2 (fun c tok -> Queue.add tok (channel t c)) p.outputs outs
 
-(* The firing core of [run] and [trace]: fire the lowest-ranked enabled
-   process until none is enabled, a process's rank being its position in
-   [order t.processes].  Enabled processes wait in a heap keyed by rank.
-   A firing only removes tokens from its own inputs and adds them to its
-   outputs, so it can only enable the consumers of its outputs: those
-   are the only processes rechecked, and a process it disabled is
-   dropped when it reaches the top of the heap.  [f] sees each process
-   just before it fires.  Linear in firings (times log P for the heap). *)
-let fire_loop ~order ~max_firings t (f : process -> unit) : int =
-  let ranked = Array.of_list (order t.processes) in
-  let inputs = Array.map (fun p -> List.map (channel t) p.inputs) ranked in
-  let readers = Hashtbl.create 64 in
-  Array.iteri
-    (fun i p ->
-      List.iter
-        (fun c ->
-          Hashtbl.replace readers c
-            (i :: Option.value ~default:[] (Hashtbl.find_opt readers c)))
-        p.inputs)
-    ranked;
-  let wakes =
-    Array.map
-      (fun p ->
-        List.concat_map
-          (fun c -> Option.value ~default:[] (Hashtbl.find_opt readers c))
-          p.outputs)
-      ranked
+(* ------------------------------------------------------------------ *)
+(* The dense view the executors run on                                 *)
+(* ------------------------------------------------------------------ *)
+
+type view = {
+  procs : process array;
+  names : string array;
+  queues : token Queue.t array;
+  ins : int array array;
+  outs : int array array;
+  readers : int array;
+  readers_at : int array;
+  producer : int array;
+}
+
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* [a.(k)..] <- the ids of [names], in order *)
+let rec resolve id (a : int array) k = function
+  | [] -> a
+  | name :: rest ->
+    (a.(k) <-
+       try Names.find id name
+       with Not_found ->
+         invalid_arg (Printf.sprintf "Kpn.channel: no channel %s" name));
+    resolve id a (k + 1) rest
+
+let view ?(order = fun ps -> ps) t =
+  let procs = Array.of_list (order t.processes) in
+  let nch = Hashtbl.length t.channels in
+  let names = Array.make nch "" and queues = Array.make nch (Queue.create ()) in
+  let id = Names.create nch in
+  Hashtbl.iter
+    (fun name q ->
+      let c = Names.length id in
+      names.(c) <- name;
+      queues.(c) <- q;
+      Names.add id name c)
+    t.channels;
+  let ids l = resolve id (Array.make (List.length l) 0) 0 l in
+  let ins = Array.map (fun p -> ids p.inputs) procs in
+  let outs = Array.map (fun p -> ids p.outputs) procs in
+  (* the readers of every channel, channel after channel, in process
+     order: count them, then fill each channel's run *)
+  let readers_at = Array.make (nch + 1) 0 in
+  Array.iter (Array.iter (fun c -> readers_at.(c + 1) <- readers_at.(c + 1) + 1)) ins;
+  for c = 1 to nch do
+    readers_at.(c) <- readers_at.(c) + readers_at.(c - 1)
+  done;
+  let readers = Array.make readers_at.(nch) 0 in
+  let next = Array.sub readers_at 0 nch in
+  let producer = Array.make nch (-1) in
+  for i = 0 to Array.length procs - 1 do
+    let ins = ins.(i) and outs = outs.(i) in
+    for k = 0 to Array.length ins - 1 do
+      let c = ins.(k) in
+      readers.(next.(c)) <- i;
+      next.(c) <- next.(c) + 1
+    done;
+    for k = 0 to Array.length outs - 1 do
+      if producer.(outs.(k)) < 0 then producer.(outs.(k)) <- i
+    done
+  done;
+  { procs; names; queues; ins; outs; readers; readers_at; producer }
+
+let consumer v c =
+  if v.readers_at.(c) < v.readers_at.(c + 1) then v.readers.(v.readers_at.(c))
+  else -1
+
+let occurrences (a : int array) c =
+  let n = ref 0 in
+  for k = 0 to Array.length a - 1 do
+    if a.(k) = c then incr n
+  done;
+  !n
+
+let satisfied v i =
+  let ins = v.ins.(i) in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length ins do
+    let c = ins.(!k) in
+    ok := Queue.length v.queues.(c) >= occurrences ins c;
+    incr k
+  done;
+  !ok
+
+let take v i =
+  let ins = v.ins.(i) in
+  let rec from k =
+    if k = Array.length ins then []
+    else
+      let tok = Queue.pop v.queues.(ins.(k)) in
+      tok :: from (k + 1)
   in
-  let enabled i = List.for_all (fun q -> not (Queue.is_empty q)) inputs.(i) in
+  from 0
+
+(* push [toks] onto the channels [outs.(k)..], in order *)
+let rec put v (outs : int array) k = function
+  | [] -> ()
+  | tok :: rest ->
+    Queue.add tok v.queues.(outs.(k));
+    put v outs (k + 1) rest
+
+let firing_index v =
+  let first = Names.create (Array.length v.procs) in
+  let slot =
+    Array.mapi
+      (fun i p ->
+        match Names.find_opt first p.pname with
+        | Some s -> s
+        | None ->
+          Names.add first p.pname i;
+          i)
+      v.procs
+  in
+  let count = Array.make (Array.length v.procs) 0 in
+  fun i ->
+    let s = slot.(i) in
+    let k = count.(s) in
+    count.(s) <- k + 1;
+    k
+
+(* The firing core of [run], [trace] and [Mapper.list_schedule]: fire
+   the lowest-indexed enabled process of [v] until none is enabled.
+   Enabled processes wait in a heap keyed by index.  A firing only
+   removes tokens from its own inputs and adds them to its outputs, so
+   it can only enable the readers of its outputs: those are the only
+   processes rechecked, and a process it disabled is dropped when it
+   reaches the top of the heap.  [f] sees each process index just
+   before it fires.  Linear in firings (times log P for the heap). *)
+let fire_loop v ~max_firings (f : int -> unit) : int =
   let ready = Heap.create (fun (a : int) b -> a < b) in
-  let queued = Array.make (Array.length ranked) false in
+  let queued = Array.make (Array.length v.procs) false in
   let offer i =
-    if (not queued.(i)) && enabled i then begin
+    if (not queued.(i)) && satisfied v i then begin
       queued.(i) <- true;
       Heap.push ready i
     end
   in
-  Array.iteri (fun i _ -> offer i) ranked;
+  Array.iteri (fun i _ -> offer i) v.procs;
   let firings = ref 0 in
   let rec loop () =
     match Heap.pop_opt ready with
     | None -> ()
     | Some i ->
       queued.(i) <- false;
-      if enabled i then begin
+      if satisfied v i then begin
         if !firings >= max_firings then
           raise (Deadlock "firing budget exhausted (unbounded network?)");
         incr firings;
-        f ranked.(i);
-        fire_once t ranked.(i);
+        f i;
+        let p = v.procs.(i) and outs = v.outs.(i) in
+        let toks = p.fire (take v i) in
+        if List.length toks <> Array.length outs then
+          produced_error "Kpn.fire" p toks (Array.length outs);
+        put v outs 0 toks;
         offer i;
-        List.iter offer wakes.(i)
+        for k = 0 to Array.length outs - 1 do
+          let c = outs.(k) in
+          for r = v.readers_at.(c) to v.readers_at.(c + 1) - 1 do
+            offer v.readers.(r)
+          done
+        done
       end;
       loop ()
   in
@@ -133,18 +268,15 @@ let fire_loop ~order ~max_firings t (f : process -> unit) : int =
     preference — by Kahn's theorem the resulting channel streams are
     identical for every order, which the test suite verifies.  Returns the
     number of firings. *)
-let run ?(order = fun ps -> ps) ?(max_firings = 1_000_000) t : int =
-  fire_loop ~order ~max_firings t ignore
+let run ?order ?(max_firings = 1_000_000) t : int =
+  fire_loop (view ?order t) ~max_firings ignore
 
 (** Firing trace in dataflow order, for the makespan simulation: each entry
     is (process, firing index of that process). *)
-let trace ?(order = fun ps -> ps) ?(max_firings = 1_000_000) t :
-    (process * int) list =
-  let counts = Hashtbl.create 8 in
+let trace ?order ?(max_firings = 1_000_000) t : (process * int) list =
+  let v = view ?order t in
+  let index = firing_index v in
   let tr = ref [] in
   ignore
-    (fire_loop ~order ~max_firings t (fun p ->
-         let k = try Hashtbl.find counts p.pname with Not_found -> 0 in
-         Hashtbl.replace counts p.pname (k + 1);
-         tr := (p, k) :: !tr));
+    (fire_loop v ~max_firings (fun i -> tr := (v.procs.(i), index i) :: !tr));
   List.rev !tr

@@ -44,40 +44,55 @@ let core_of (pl : placement) : Kpn.process -> core =
     | Some c -> c
     | None -> invalid_arg (Printf.sprintf "Mapper.core_of: %s unplaced" p.Kpn.pname)
 
-(** [core_slot cores] maps a core name to its index in [cores] (the first
-    core of that name); per-core state lives in arrays over these indices.
+(** [core_slot cores] maps a core to its index in [cores]: the first
+    core of that name.  Per-core state lives in arrays over these
+    indices.  Apply it to [cores] once and reuse the result: the cores of
+    [cores] themselves resolve without hashing their names.
     @raise Invalid_argument for a core that is not in [cores]. *)
-let core_slot (cores : core array) : string -> int =
+let core_slot (cores : core array) : core -> int =
   let idx = Hashtbl.create 8 in
   Array.iteri
     (fun i c -> if not (Hashtbl.mem idx c.cname) then Hashtbl.add idx c.cname i)
     cores;
-  fun name ->
+  let by_name name =
     match Hashtbl.find_opt idx name with
     | Some i -> i
     | None ->
       invalid_arg (Printf.sprintf "Mapper: core %s is not on the platform" name)
+  in
+  let own = Array.map (fun c -> by_name c.cname) cores in
+  fun c ->
+    let i = ref 0 in
+    while !i < Array.length cores && cores.(!i) != c do
+      incr i
+    done;
+    if !i < Array.length cores then own.(!i) else by_name c.cname
 
 (* Greedy list placement shared by [place] and [remap]: heaviest process
-   first, each to the core of [cores] minimising [score p core load] (the
-   first such core on ties), whose [load] then grows by the firing cost.
-   [load] is indexed by core slot.  Returns (process, core) in that
-   heaviest-first order. *)
-let greedy (cost : cost_model) (cores : core array) (load : int array) score
-    (ps : Kpn.process list) : (Kpn.process * core) list =
-  let slots = Array.map (fun c -> core_slot cores c.cname) cores in
+   first, each to the core of [cores] with the least [load + cost], then
+   the greatest [bonus p core] (the first such core on ties), whose
+   [load] then grows by the firing cost.  [load] is indexed by core
+   slot; [bonus p] is applied once per process.  Returns (process, core)
+   in that heaviest-first order. *)
+let greedy (cost : cost_model) (cores : core array) (load : int array)
+    (bonus : Kpn.process -> core -> int) (ps : Kpn.process list) :
+    (Kpn.process * core) list =
+  let slots = Array.map (core_slot cores) cores in
   List.stable_sort
-    (fun (a : Kpn.process) (b : Kpn.process) -> compare b.Kpn.work a.Kpn.work)
+    (fun (a : Kpn.process) (b : Kpn.process) -> Int.compare b.Kpn.work a.Kpn.work)
     ps
   |> List.map (fun (p : Kpn.process) ->
-         let score_p = score p in
-         let score_at i = score_p cores.(i) load.(slots.(i)) in
-         let best = ref 0 and best_score = ref (score_at 0) in
+         let bonus_p = bonus p in
+         let best = ref 0
+         and best_load = ref (load.(slots.(0)) + cost p cores.(0))
+         and best_bonus = ref (bonus_p cores.(0)) in
          for i = 1 to Array.length cores - 1 do
-           let s = score_at i in
-           if s < !best_score then begin
+           let l = load.(slots.(i)) + cost p cores.(i) in
+           let b = bonus_p cores.(i) in
+           if l < !best_load || (l = !best_load && b > !best_bonus) then begin
              best := i;
-             best_score := s
+             best_load := l;
+             best_bonus := b
            end
          done;
          let c = cores.(!best) in
@@ -104,7 +119,8 @@ let place (platform : platform) (cost : cost_model) (ps : Kpn.process list) :
     placement =
   if platform.cores = [] then invalid_arg "Mapper.place: empty platform";
   let cores = Array.of_list platform.cores in
-  let score (p : Kpn.process) =
+  (* hardware preferences met: the tie-breaker after load + cost *)
+  let prefs_met (p : Kpn.process) =
     let prefs =
       match Pvir.Annot.find_list Pvir.Annot.key_hw_prefs p.Kpn.annots with
       | Some l ->
@@ -113,15 +129,14 @@ let place (platform : platform) (cost : cost_model) (ps : Kpn.process list) :
           l
       | None -> []
     in
-    fun c load ->
-      let prefs_met =
-        List.length
-          (List.filter (fun cap -> Pvmach.Machine.has_cap c.machine cap) prefs)
-      in
-      (load + cost p c, -prefs_met)
+    fun c ->
+      List.fold_left
+        (fun k cap -> if Pvmach.Machine.has_cap c.machine cap then k + 1 else k)
+        0 prefs
   in
   let placed =
-    choice_table (greedy cost cores (Array.make (Array.length cores) 0) score ps)
+    choice_table
+      (greedy cost cores (Array.make (Array.length cores) 0) prefs_met ps)
   in
   (* return in the caller's process order *)
   List.map
@@ -167,37 +182,64 @@ type decision =
           checkpointed there, then resumed on [survivor] after
           [overhead] cycles *)
 
+(** Token arrivals, per channel of [v]: two ints per token not yet
+    consumed, the cycle it arrives and the slot of the core that
+    produced it.  Tokens already queued are external: they arrive at
+    cycle 0 from slot -1, so on every core at once. *)
+let token_arrivals (v : Kpn.view) : Intq.t array =
+  Array.map
+    (fun q ->
+      let a = Intq.create () in
+      Queue.iter
+        (fun _ ->
+          Intq.push a 0;
+          Intq.push a (-1))
+        q;
+      a)
+    v.Kpn.queues
+
 (** The list scheduler behind {!schedule}, {!schedule_with_failure} and
-    {!schedule_with_migration}.  It walks [net]'s firing trace
-    ({!Kpn.trace}) in dataflow order.  [decide p start_on] places each
-    firing of [p], where [start_on c] is the cycle the firing could start
-    on core [c]: once [c] is free and every input token has arrived, plus
-    the transfer cost for each token produced on another core.  Token
-    arrival times sit in one FIFO queue per channel, which starts with
-    the channel's external tokens (available at cycle 0 on every core).
-    The cost is linear in the number of firings.  A [Split] firing is a
-    truncated span on the dying core up to [at], then the remaining
-    work, rescaled to the survivor's cost for the kernel, on the
-    survivor.  Both spans carry [se_migrated = true] and each split is
-    recorded in [ledger] as a {!Pvtrace.Ledger.Migrate} event.
+    {!schedule_with_migration}.  It schedules [net]'s firings in dataflow
+    order, as {!Kpn.fire_loop} fires them.  [decide i start_on] places
+    each firing of process [i] (an index into [net.processes]), where
+    [start_on c] is the cycle the firing could start on core [c]: once
+    [c] is free and every input token has arrived, plus the transfer
+    cost for each token produced on another core.  Token arrival times
+    sit in one FIFO per channel, which starts with the channel's
+    external tokens (available at cycle 0 on every core).  The cost is
+    linear in the number of firings.  A [Split] firing is a truncated
+    span on the dying core up to [at], then the remaining work, rescaled
+    to the survivor's cost for the kernel, on the survivor.  Both spans
+    carry [se_migrated = true] and each split is recorded in [ledger] as
+    a {!Pvtrace.Ledger.Migrate} event.
     @raise Invalid_argument when a firing is placed on a core that is not
     on [platform]. *)
 let list_schedule ?ledger (platform : platform) (cost : cost_model)
-    (decide : Kpn.process -> (core -> int64) -> decision) (net : Kpn.t) :
+    (decide : int -> (core -> int64) -> decision) (net : Kpn.t) :
     sched_event list =
   let cores = Array.of_list platform.cores in
   let slot = core_slot cores in
-  let core_free = Array.make (Array.length cores) 0L in
-  (* per channel, (arrival cycle, producing core) of each token not yet
-     consumed; [None] is an external token *)
-  let tokens = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun name q ->
-      let tq = Queue.create () in
-      Queue.iter (fun _ -> Queue.add None tq) q;
-      Hashtbl.replace tokens name tq)
-    net.Kpn.channels;
-  let tr = Kpn.trace net in
+  let core_free = Array.make (Array.length cores) 0 in
+  let v = Kpn.view net in
+  let arrivals = token_arrivals v in
+  (* the arrivals of the current firing's input tokens *)
+  let max_ins = Array.fold_left (fun m a -> Int.max m (Array.length a)) 0 v.Kpn.ins in
+  let arrived = Array.make max_ins 0 and source = Array.make max_ins (-1) in
+  let n_ins = ref 0 in
+  let start_on c =
+    let s = slot c in
+    let ready = ref 0 in
+    for k = 0 to !n_ins - 1 do
+      let t =
+        if source.(k) < 0 || source.(k) = s then arrived.(k)
+        else arrived.(k) + platform.transfer_cost
+      in
+      if t > !ready then ready := t
+    done;
+    Int.max !ready core_free.(s)
+  in
+  let start_on64 c = Int64.of_int (start_on c) in
+  let index = Kpn.firing_index v in
   let events = ref [] in
   let emit (p : Kpn.process) firing c start t_end ~remapped ~migrated =
     events :=
@@ -205,77 +247,74 @@ let list_schedule ?ledger (platform : platform) (cost : cost_model)
         se_proc = p.Kpn.pname;
         se_firing = firing;
         se_core = c.cname;
-        se_start = start;
-        se_end = t_end;
+        se_start = Int64.of_int start;
+        se_end = Int64.of_int t_end;
         se_remapped = remapped;
         se_migrated = migrated;
       }
       :: !events
   in
-  let finish (p : Kpn.process) c t_end =
-    core_free.(slot c.cname) <- t_end;
-    List.iter
-      (fun ch -> Queue.add (Some (t_end, c.cname)) (Hashtbl.find tokens ch))
-      p.Kpn.outputs
+  let finish i c t_end =
+    let s = slot c in
+    core_free.(s) <- t_end;
+    let outs = v.Kpn.outs.(i) in
+    for k = 0 to Array.length outs - 1 do
+      let a = arrivals.(outs.(k)) in
+      Intq.push a t_end;
+      Intq.push a s
+    done
   in
-  List.iter
-    (fun ((p : Kpn.process), firing) ->
-      let sources =
-        List.map
-          (fun ch -> Option.join (Queue.take_opt (Hashtbl.find tokens ch)))
-          p.Kpn.inputs
+  let step i =
+    let p = v.Kpn.procs.(i) in
+    let firing = index i in
+    let ins = v.Kpn.ins.(i) in
+    for k = 0 to Array.length ins - 1 do
+      let a = arrivals.(ins.(k)) in
+      arrived.(k) <- Intq.pop a;
+      source.(k) <- Intq.pop a
+    done;
+    n_ins := Array.length ins;
+    match decide i start_on64 with
+    | Run (c, remapped) ->
+      let start = start_on c in
+      let t_end = start + cost p c in
+      finish i c t_end;
+      emit p firing c start t_end ~remapped ~migrated:false
+    | Split { dying; survivor; at; overhead } ->
+      let at = Int64.to_int at in
+      let start0 = start_on dying in
+      let cost0 = cost p dying in
+      let done0 = at - start0 in
+      (* remaining work, rescaled to the survivor's speed for this
+         kernel (ceiling so a nonzero remainder costs >= 1) *)
+      let rem1 =
+        if cost0 <= 0 then 0
+        else (((cost0 - done0) * cost p survivor) + cost0 - 1) / cost0
       in
-      let start_on c =
-        let ready =
-          List.fold_left
-            (fun acc -> function
-              | None -> acc
-              | Some (t, producer) ->
-                let t =
-                  if String.equal producer c.cname then t
-                  else Int64.add t (Int64.of_int platform.transfer_cost)
-                in
-                max acc t)
-            0L sources
-        in
-        max ready core_free.(slot c.cname)
-      in
-      match decide p start_on with
-      | Run (c, remapped) ->
-        let start = start_on c in
-        let t_end = Int64.add start (Int64.of_int (cost p c)) in
-        finish p c t_end;
-        emit p firing c start t_end ~remapped ~migrated:false
-      | Split { dying; survivor; at; overhead } ->
-        let start0 = start_on dying in
-        let cost0 = cost p dying in
-        let done0 = Int64.to_int (Int64.sub at start0) in
-        (* remaining work, rescaled to the survivor's speed for this
-           kernel (ceiling so a nonzero remainder costs >= 1) *)
-        let rem1 =
-          if cost0 <= 0 then 0
-          else (((cost0 - done0) * cost p survivor) + cost0 - 1) / cost0
-        in
-        emit p firing dying start0 at ~remapped:false ~migrated:true;
-        (* the dying core was occupied right up to the failure; later
-           firings must not be list-scheduled onto it in the past *)
-        core_free.(slot dying.cname) <- at;
-        let start1 =
-          max (Int64.add at (Int64.of_int overhead))
-            core_free.(slot survivor.cname)
-        in
-        let end1 = Int64.add start1 (Int64.of_int rem1) in
-        finish p survivor end1;
-        emit p firing survivor start1 end1 ~remapped:true ~migrated:true;
-        Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Migrate
-          ~subject:p.Kpn.pname
-          ~detail:
-            (Printf.sprintf
-               "firing #%d checkpointed on %s at cycle %Ld, resumed on %s \
-                at cycle %Ld"
-               firing dying.cname at survivor.cname start1))
-    tr;
+      emit p firing dying start0 at ~remapped:false ~migrated:true;
+      (* the dying core was occupied right up to the failure; later
+         firings must not be list-scheduled onto it in the past *)
+      core_free.(slot dying) <- at;
+      let start1 = Int.max (at + overhead) core_free.(slot survivor) in
+      let end1 = start1 + rem1 in
+      finish i survivor end1;
+      emit p firing survivor start1 end1 ~remapped:true ~migrated:true;
+      Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Migrate
+        ~subject:p.Kpn.pname
+        ~detail:
+          (Printf.sprintf
+             "firing #%d checkpointed on %s at cycle %d, resumed on %s at \
+              cycle %d"
+             firing dying.cname at survivor.cname start1)
+  in
+  ignore (Kpn.fire_loop v ~max_firings:1_000_000 step);
   List.rev !events
+
+(* [core_of pl] for each process of [ps] by index, looked up on first
+   use: a process that never fires need not be placed *)
+let homes (pl : placement) (ps : Kpn.process list) : core Lazy.t array =
+  let core_of = core_of pl in
+  Array.of_list (List.map (fun p -> lazy (core_of p)) ps)
 
 (** Simulate [net]'s firing trace under a placement as a list schedule and
     return the per-firing schedule: a firing starts when its core is free
@@ -283,8 +322,8 @@ let list_schedule ?ledger (platform : platform) (cost : cost_model)
     latency when producer and consumer sit on different cores). *)
 let schedule (platform : platform) (cost : cost_model) (pl : placement)
     (net : Kpn.t) : sched_event list =
-  let core_of = core_of pl in
-  list_schedule platform cost (fun p _ -> Run (core_of p, false)) net
+  let home = homes pl net.Kpn.processes in
+  list_schedule platform cost (fun i _ -> Run (Lazy.force home.(i), false)) net
 
 (** Simulate the makespan of running [net]'s firing trace under a
     placement.  Returns total cycles (on the slowest path). *)
@@ -333,10 +372,10 @@ let remap ?ledger (platform : platform) (cost : cost_model) (pl : placement)
   List.iter
     (fun (p : Kpn.process) ->
       let c = core_of p in
-      load.(slot c.cname) <- load.(slot c.cname) + cost p c)
+      load.(slot c) <- load.(slot c) + cost p c)
     staying;
   let moved =
-    greedy cost survivors load (fun p c load -> load + cost p c) displaced
+    greedy cost survivors load (fun _ _ -> 0) displaced
     |> List.map (fun ((p : Kpn.process), best) ->
            Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Accel_remap
              ~subject:p.Kpn.pname
@@ -362,9 +401,11 @@ let recovering ?ledger platform cost pl ~(failure : failure) ~overhead
   let pl' =
     remap ?ledger platform cost pl ~dead:failure.dead_core net.Kpn.processes
   in
-  let home = core_of pl and survivor = core_of pl' in
-  fun p start_on ->
-    let c0 = home p in
+  let procs = Array.of_list net.Kpn.processes in
+  let home = homes pl net.Kpn.processes
+  and survivor = homes pl' net.Kpn.processes in
+  fun i start_on ->
+    let p = procs.(i) and c0 = Lazy.force home.(i) in
     if not (String.equal c0.cname failure.dead_core) then Run (c0, false)
     else
       let start0 = start_on c0 in
@@ -373,8 +414,14 @@ let recovering ?ledger platform cost pl ~(failure : failure) ~overhead
       else
         match overhead with
         | Some overhead when Int64.compare start0 failure.at < 0 ->
-          Split { dying = c0; survivor = survivor p; at = failure.at; overhead }
-        | _ -> Run (survivor p, true)
+          Split
+            {
+              dying = c0;
+              survivor = Lazy.force survivor.(i);
+              at = failure.at;
+              overhead;
+            }
+        | _ -> Run (Lazy.force survivor.(i), true)
 
 (** Per-firing schedule under an accelerator failure: firings on the dead
     core that would complete by [failure.at] still run there; everything

@@ -78,13 +78,13 @@ let default_platform ?(cores = 4) () : Mapper.platform =
     transfer_cost = 0;
   }
 
-let default_cost : Mapper.cost_model = fun p _ -> max 1 p.Kpn.work
+let default_cost : Mapper.cost_model = fun p _ -> Int.max 1 p.Kpn.work
 
 (** Execute [net] to quiescence under [policy] with channels bounded to
     [capacity] tokens (sink channels — no consumer — stay unbounded, and
     a channel's initial tokens may exceed [capacity]; backpressure only
-    gates {e new} production).  A process is ready when every input
-    channel holds enough tokens {e and} every consumed output channel has
+    gates {e new} production).  A process is ready when it meets
+    {!Kpn}'s readiness rule {e and} every consumed output channel has
     room.  Firings are simulated as a list schedule over [platform] using
     [cost] (default: [max 1 work] cycles anywhere) and [placement]
     (default: {!Mapper.place}); FIFO and priority firings run on their
@@ -99,8 +99,6 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   let platform =
     match platform with Some p -> p | None -> default_platform ()
   in
-  let procs = Array.of_list net.Kpn.processes in
-  let n = Array.length procs in
   let placement =
     match placement with
     | Some pl -> pl
@@ -109,71 +107,36 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   let cores = Array.of_list platform.Mapper.cores in
   let ncores = Array.length cores in
   if ncores = 0 then invalid_arg "Sched.execute: empty platform";
+  let v = Kpn.view net in
+  let procs = v.Kpn.procs and queues = v.Kpn.queues in
+  let n = Array.length procs in
   let core_of = Mapper.core_of placement and slot = Mapper.core_slot cores in
-  let home = Array.map (fun p -> slot (core_of p).Mapper.cname) procs in
-  (* single consumer / single producer maps (generated nets guarantee
-     uniqueness; on hand-built nets the first claimant wins) *)
-  let consumer_of : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let producer_of : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i p ->
-      List.iter
-        (fun c ->
-          if not (Hashtbl.mem consumer_of c) then Hashtbl.replace consumer_of c i)
-        p.Kpn.inputs;
-      List.iter
-        (fun c ->
-          if not (Hashtbl.mem producer_of c) then Hashtbl.replace producer_of c i)
-        p.Kpn.outputs)
-    procs;
-  (* token availability times parallel the value queues: (ready time,
-     producing core), [None] core = external input at time 0 *)
-  let times : (string, (int64 * int option) Queue.t) Hashtbl.t =
-    Hashtbl.create 64
+  let home = Array.map (fun p -> slot (core_of p)) procs in
+  (* token availability parallels the value queues *)
+  let times = Mapper.token_arrivals v in
+  (* per channel, every token it has carried, newest first *)
+  let history =
+    Array.map (fun q -> Queue.fold (fun acc t -> t :: acc) [] q) queues
   in
-  let history : (string, Kpn.token list ref) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun name q ->
-      let tq = Queue.create () in
-      Queue.iter (fun _ -> Queue.add (0L, None) tq) q;
-      Hashtbl.replace times name tq;
-      (* history refs are kept reversed (newest first) until the end *)
-      Hashtbl.replace history name (ref (Queue.fold (fun acc t -> t :: acc) [] q)))
-    net.Kpn.channels;
-  let hist_of name =
-    match Hashtbl.find_opt history name with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.replace history name r;
-      r
+  (* backpressure: every bounded (consumed) output channel has room for
+     the net tokens one firing adds to it — tokens it pops from the
+     same channel (self-loop) free room before the push lands; sink
+     channels are unbounded.  A channel's consumer is its first reader
+     in process order (generated nets have exactly one). *)
+  let has_room i =
+    let ins = v.Kpn.ins.(i) and outs = v.Kpn.outs.(i) in
+    let ok = ref true and k = ref 0 in
+    while !ok && !k < Array.length outs do
+      let c = outs.(!k) in
+      if Kpn.consumer v c >= 0 then
+        ok :=
+          Queue.length queues.(c) + Kpn.occurrences outs c - Kpn.occurrences ins c
+          <= capacity;
+      incr k
+    done;
+    !ok
   in
-  (* what [ready] checks, per process: each distinct input channel with
-     the tokens one firing pops from it, and each bounded (consumed)
-     output channel with the net tokens one firing adds to it — tokens
-     it pops from the same channel (self-loop) free room before the push
-     lands; sink channels are unbounded *)
-  let count_in l c = List.fold_left (fun k c' -> if String.equal c c' then k + 1 else k) 0 l in
-  let needs =
-    Array.map
-      (fun p ->
-        let ins, outs = (p.Kpn.inputs, p.Kpn.outputs) in
-        ( List.map
-            (fun c -> (Kpn.channel net c, count_in ins c))
-            (List.sort_uniq compare ins),
-          List.filter_map
-            (fun c ->
-              if Hashtbl.mem consumer_of c then
-                Some (Kpn.channel net c, count_in outs c - count_in ins c)
-              else None)
-            (List.sort_uniq compare outs) ))
-      procs
-  in
-  let ready i =
-    let ins, outs = needs.(i) in
-    List.for_all (fun (q, k) -> Queue.length q >= k) ins
-    && List.for_all (fun (q, d) -> Queue.length q + d <= capacity) outs
-  in
+  let ready i = Kpn.satisfied v i && has_room i in
   (* ready bookkeeping: [is_ready] mirrors [ready]; the per-policy
      containers use lazy deletion guarded by [queued] *)
   let is_ready = Array.make n false in
@@ -198,28 +161,26 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   in
   let update i =
     let r = ready i in
-    if r && not is_ready.(i) then begin
-      is_ready.(i) <- true;
-      incr n_ready
-    end
-    else if (not r) && is_ready.(i) then begin
-      is_ready.(i) <- false;
-      decr n_ready
+    if r <> is_ready.(i) then begin
+      is_ready.(i) <- r;
+      n_ready := !n_ready + if r then 1 else -1
     end;
-    if is_ready.(i) then enqueue i
+    if r then enqueue i
   in
   for i = 0 to n - 1 do
     update i
   done;
-  let free_at = Array.make ncores 0L in
-  let busy = Array.make ncores 0L in
+  (* cycle counts are native ints, exact to 2^62; int64 appears only in
+     the events and stats returned *)
+  let free_at = Array.make ncores 0 in
+  let busy = Array.make ncores 0 in
   let fired = Array.make n 0 in
   let steals = ref 0 in
   let firings = ref 0 in
   let consumed = ref 0 in
   let produced = ref 0 in
   let events = ref [] in
-  let makespan = ref 0L in
+  let makespan = ref 0 in
   (* take a valid (still-ready) entry with [take]; stale entries are
      dropped *)
   let rec pop_valid take =
@@ -253,43 +214,35 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   in
   let fire i ~core_i =
     let p = procs.(i) in
-    let core = cores.(core_i) in
-    (* pop values and availability times together *)
-    let ins =
-      List.map
-        (fun c ->
-          let v = Queue.pop (Kpn.channel net c) in
-          let t, src = Queue.pop (Hashtbl.find times c) in
-          incr consumed;
-          (v, t, src))
-        p.Kpn.inputs
-    in
-    let inputs_ready =
-      List.fold_left
-        (fun acc (_, t, src) ->
-          let t =
-            match src with
-            | Some c when c <> core_i ->
-              Int64.add t (Int64.of_int platform.Mapper.transfer_cost)
-            | _ -> t
-          in
-          if Int64.compare t acc > 0 then t else acc)
-        0L ins
-    in
+    let ins = v.Kpn.ins.(i) and outs = v.Kpn.outs.(i) in
+    let toks = Kpn.take v i in
+    (* the availability times of the tokens just taken *)
+    let inputs_ready = ref 0 in
+    for k = 0 to Array.length ins - 1 do
+      let tq = times.(ins.(k)) in
+      let t = Intq.pop tq in
+      let src = Intq.pop tq in
+      let t =
+        if src >= 0 && src <> core_i then t + platform.Mapper.transfer_cost
+        else t
+      in
+      if t > !inputs_ready then inputs_ready := t
+    done;
+    consumed := !consumed + Array.length ins;
     let start =
-      if Int64.compare free_at.(core_i) inputs_ready > 0 then free_at.(core_i)
-      else inputs_ready
+      if free_at.(core_i) > !inputs_ready then free_at.(core_i)
+      else !inputs_ready
     in
-    let c = Int64.of_int (cost p core) in
-    let t_end = Int64.add start c in
+    let c = cost p cores.(core_i) in
+    let t_end = start + c in
     free_at.(core_i) <- t_end;
-    busy.(core_i) <- Int64.add busy.(core_i) c;
-    if Int64.compare t_end !makespan > 0 then makespan := t_end;
-    let outs = p.Kpn.fire (List.map (fun (v, _, _) -> v) ins) in
-    if List.length outs <> List.length p.Kpn.outputs then
+    busy.(core_i) <- busy.(core_i) + c;
+    if t_end > !makespan then makespan := t_end;
+    let results = p.Kpn.fire toks in
+    if List.length results <> Array.length outs then
       invalid_arg
         (Printf.sprintf "Sched: %s produced %d tokens, declared %d" p.Kpn.pname
-           (List.length outs) (List.length p.Kpn.outputs));
+           (List.length results) (Array.length outs));
     (* the planted bug: priority inversion drops the first output token
        of a high-fan-in join's second firing.  Only data inputs count —
        a self-loop feedback channel is part of the node itself. *)
@@ -297,32 +250,31 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
       match (chaos, policy) with
       | Some Drop_fanin_token, Priority ->
         let data_fanin =
-          List.length
-            (List.filter
-               (fun c -> not (List.mem c p.Kpn.outputs))
-               p.Kpn.inputs)
+          Array.fold_left
+            (fun k c -> if Array.mem c outs then k else k + 1)
+            0 ins
         in
         data_fanin >= 3 && fired.(i) = 1
       | _ -> false
     in
     List.iteri
-      (fun k (ch, tok) ->
-        if buggy && k = 0 then ()
-        else begin
-          Queue.add tok (Kpn.channel net ch);
-          Queue.add (t_end, Some core_i) (Hashtbl.find times ch);
-          let h = hist_of ch in
-          h := tok :: !h;
+      (fun k tok ->
+        if not (buggy && k = 0) then begin
+          let ch = outs.(k) in
+          Queue.add tok queues.(ch);
+          Intq.push times.(ch) t_end;
+          Intq.push times.(ch) core_i;
+          history.(ch) <- tok :: history.(ch);
           incr produced
         end)
-      (List.combine p.Kpn.outputs outs);
+      results;
     events :=
       {
         Mapper.se_proc = p.Kpn.pname;
         se_firing = fired.(i);
-        se_core = core.Mapper.cname;
-        se_start = start;
-        se_end = t_end;
+        se_core = cores.(core_i).Mapper.cname;
+        se_start = Int64.of_int start;
+        se_end = Int64.of_int t_end;
         se_remapped = core_i <> home.(i);
         se_migrated = false;
       }
@@ -332,28 +284,19 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
     (* only this process, its channel peers, and (under backpressure)
        the producers feeding its inputs can change readiness *)
     update i;
-    List.iter
-      (fun ch ->
-        match Hashtbl.find_opt consumer_of ch with
-        | Some j when j <> i -> update j
-        | _ -> ())
-      p.Kpn.outputs;
-    List.iter
-      (fun ch ->
-        match Hashtbl.find_opt producer_of ch with
-        | Some j when j <> i -> update j
-        | _ -> ())
-      p.Kpn.inputs
+    for k = 0 to Array.length outs - 1 do
+      let j = Kpn.consumer v outs.(k) in
+      if j >= 0 && j <> i then update j
+    done;
+    for k = 0 to Array.length ins - 1 do
+      let j = v.Kpn.producer.(ins.(k)) in
+      if j >= 0 && j <> i then update j
+    done
   in
   let continue_ = ref true in
   while !continue_ && !n_ready > 0 do
     if !firings >= max_firings then
       raise (Kpn.Deadlock "firing budget exhausted (unbounded network?)");
-    (* next decision point: the earliest-free core (ties: lowest index) *)
-    let thief = ref 0 in
-    for c = 1 to ncores - 1 do
-      if Int64.compare free_at.(c) free_at.(!thief) < 0 then thief := c
-    done;
     match policy with
     | Fifo -> (
       match pick_fifo () with
@@ -364,21 +307,25 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
       | Some i -> fire i ~core_i:home.(i)
       | None -> continue_ := false)
     | Work_stealing -> (
+      (* next decision point: the earliest-free core (ties: lowest
+         index) *)
+      let thief = ref 0 in
+      for c = 1 to ncores - 1 do
+        if free_at.(c) < free_at.(!thief) then thief := c
+      done;
       match pick_steal !thief with
       | Some (i, stolen) ->
         if stolen then incr steals;
         fire i ~core_i:(if stolen then !thief else home.(i))
       | None -> continue_ := false)
   done;
-  let streams =
-    Hashtbl.fold (fun name h acc -> (name, List.rev !h) :: acc) history []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let residual =
-    Hashtbl.fold
-      (fun name q acc -> (name, Queue.length q) :: acc)
-      net.Kpn.channels []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  (* channel ids in name order *)
+  let by_name = Array.init (Array.length queues) Fun.id in
+  Array.stable_sort
+    (fun a b -> String.compare v.Kpn.names.(a) v.Kpn.names.(b))
+    by_name;
+  let per_channel f =
+    Array.fold_right (fun c acc -> (v.Kpn.names.(c), f c) :: acc) by_name []
   in
   let starved =
     Array.to_list
@@ -391,14 +338,16 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
       {
         firings = !firings;
         steals = !steals;
-        makespan = !makespan;
+        makespan = Int64.of_int !makespan;
         busy =
           Array.to_list
-            (Array.mapi (fun c b -> (cores.(c).Mapper.cname, b)) busy);
+            (Array.mapi
+               (fun c b -> (cores.(c).Mapper.cname, Int64.of_int b))
+               busy);
         starved;
       };
-    streams;
-    residual;
+    streams = per_channel (fun c -> List.rev history.(c));
+    residual = per_channel (fun c -> Queue.length queues.(c));
     consumed = !consumed;
     produced = !produced;
   }

@@ -191,6 +191,81 @@ let stream_of r name =
   List.map (fun (t : Pvsched.Kpn.token) -> Int64.to_int (Pvir.Value.to_int64 t.(0)))
     (List.assoc name r.Pvsched.Sched.streams)
 
+let test_kpn_doubled_input () =
+  (* a process that lists a channel twice pops two tokens from it per
+     firing: every executor applies the one readiness rule, so with a
+     single token nothing fires (and nothing raises Queue.Empty) *)
+  let got = ref [] in
+  let twice =
+    {
+      Pvsched.Kpn.pname = "twice";
+      inputs = [ "a"; "a" ];
+      outputs = [ "out" ];
+      fire =
+        (fun toks ->
+          got := List.map tok_val toks;
+          [ tok (List.fold_left (fun s t -> s + tok_val t) 0 toks) ]);
+      annots = Pvir.Annot.empty;
+      work = 1;
+    }
+  in
+  let net tokens =
+    let t = Pvsched.Kpn.create [ twice ] in
+    List.iter (fun x -> Pvsched.Kpn.push t "a" (tok x)) tokens;
+    t
+  in
+  let plat = Pvsched.Sched.default_platform ~cores:2 () in
+  let pl = Pvsched.Mapper.place plat Pvsched.Sched.default_cost [ twice ] in
+  let executors =
+    [
+      ("run", fun t -> Pvsched.Kpn.run t);
+      ("trace", fun t -> List.length (Pvsched.Kpn.trace t));
+      ( "Mapper.schedule",
+        fun t ->
+          List.length
+            (Pvsched.Mapper.schedule plat Pvsched.Sched.default_cost pl t) );
+    ]
+    @ List.map
+        (fun policy ->
+          ( Pvsched.Sched.policy_name policy,
+            fun t ->
+              (Pvsched.Sched.execute ~policy ~platform:plat t).Pvsched.Sched.stats
+                .Pvsched.Sched.firings ))
+        Pvsched.Sched.all_policies
+  in
+  (* each executor on a fresh net: firings, what [fire] received, and
+     what the net's own queues hold afterwards *)
+  let run_all tokens =
+    List.map
+      (fun (what, exec) ->
+        got := [];
+        let t = net tokens in
+        let n = exec t in
+        let left = List.length (Pvsched.Kpn.drain t "a") in
+        (what, n, !got, left, List.map tok_val (Pvsched.Kpn.drain t "out")))
+      executors
+  in
+  check bool_t "one token: not enabled" false
+    (Pvsched.Kpn.enabled (net [ 7 ]) twice);
+  List.iter
+    (fun (what, n, _, left, out) ->
+      check int_t ("one token: " ^ what) 0 n;
+      check int_t ("one token: " ^ what ^ " leaves it") 1 left;
+      check (Alcotest.list int_t) ("one token: " ^ what ^ " output") [] out)
+    (run_all [ 7 ]);
+  (match Pvsched.Kpn.fire_once (net [ 7 ]) twice with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "fire_once fired without its tokens");
+  check bool_t "two tokens: enabled" true
+    (Pvsched.Kpn.enabled (net [ 7; 9 ]) twice);
+  List.iter
+    (fun (what, n, got, left, out) ->
+      check int_t ("two tokens: " ^ what) 1 n;
+      check (Alcotest.list int_t) (what ^ ": fire gets both, in order") [ 7; 9 ] got;
+      check int_t (what ^ ": both consumed") 0 left;
+      check (Alcotest.list int_t) (what ^ ": output") [ 16 ] out)
+    (run_all [ 7; 9 ])
+
 let test_sched_policies_agree () =
   let digests =
     List.map
@@ -462,8 +537,7 @@ let fresh_eq () =
   let t = Pvsched.Kpn.create eq_procs in
   List.iter
     (fun c ->
-      if not (Hashtbl.mem t.Pvsched.Kpn.channels c) then
-        Hashtbl.replace t.Pvsched.Kpn.channels c (Queue.create ());
+      Pvsched.Kpn.add_channel t c;
       for i = 1 to eq_net.Kc.ntokens do
         Pvsched.Kpn.push t c (tok i)
       done)
@@ -577,6 +651,68 @@ let test_schedules_pinned () =
       (Pvsched.Sched.Work_stealing, "dcc94aeb213b2bec6bba388068c14031");
     ]
 
+(* E15's net (bench/main.exe kpn): 2,000 generated processes whose
+   kernels run in the threaded interpreter.  Unlike the constant-token
+   nets above, these pins hold the values every channel carries. *)
+let test_e15_pinned () =
+  let prog, fn_pool = Pvcheck.Gen.node_program ~seed:15 ~count:8 in
+  let net =
+    Kc.generate ~fn_pool
+      {
+        Kc.cprocs = 2_000;
+        ctokens = 1;
+        cfanin = 3;
+        cfanout = 35;
+        cfeedback = 10;
+        ccapacity = 2;
+        cnet_seed = 15;
+      }
+  in
+  let platform = Pvsched.Sched.default_platform ~cores:8 () in
+  let fresh () = Kc.instantiate ~prog ~engine:Pvvm.Vm.Threaded net in
+  List.iter
+    (fun (policy, digest, makespan, steals) ->
+      let r =
+        Pvsched.Sched.execute ~policy ~capacity:net.Kc.ncapacity ~platform
+          (fresh ())
+      in
+      let what = Pvsched.Sched.policy_name policy ^ ": " in
+      let s = r.Pvsched.Sched.stats in
+      check Alcotest.string (what ^ "streams") "d62f0e0260980f41fe1545af2e91ba10"
+        (Pvsched.Sched.streams_digest r);
+      check Alcotest.string (what ^ "events") digest
+        (events_digest r.Pvsched.Sched.events);
+      check Alcotest.int64 (what ^ "makespan") makespan s.Pvsched.Sched.makespan;
+      check int_t (what ^ "steals") steals s.Pvsched.Sched.steals;
+      check int_t (what ^ "firings") 2000 s.Pvsched.Sched.firings)
+    [
+      (Pvsched.Sched.Fifo, "56385b244c6a38082cd86c1924f5a340", 8617L, 0);
+      (Pvsched.Sched.Priority, "f048d3257ffdfe177b9fad9395aa29cf", 8635L, 0);
+      (Pvsched.Sched.Work_stealing, "10f4b0bebb5a1a2eba1e56f0591ea13e", 8587L, 1748);
+    ];
+  let t = fresh () in
+  let pl = Pvsched.Mapper.place platform Pvsched.Sched.default_cost t.Pvsched.Kpn.processes in
+  let evs = Pvsched.Mapper.schedule platform Pvsched.Sched.default_cost pl t in
+  check Alcotest.string "mapper: events" "04d17bd69b79f67410a7527c9df53ba4"
+    (events_digest evs);
+  check Alcotest.int64 "mapper: makespan" 8631L (Pvsched.Mapper.makespan_of_events evs);
+  (* Kpn.run, then every channel drained, in name order *)
+  let t = fresh () in
+  check int_t "run: firings" 2000 (Pvsched.Kpn.run t);
+  let b = Buffer.create 65536 in
+  Hashtbl.fold (fun c _ acc -> c :: acc) t.Pvsched.Kpn.channels []
+  |> List.sort String.compare
+  |> List.iter (fun c ->
+         Printf.bprintf b "%s=" c;
+         List.iter
+           (fun (tok : Pvsched.Kpn.token) ->
+             Array.iter (fun v -> Printf.bprintf b "%s;" (Pvir.Value.to_string v)) tok;
+             Buffer.add_char b '|')
+           (Pvsched.Kpn.drain t c);
+         Buffer.add_char b '\n');
+  check Alcotest.string "run: drained channels" "14143c80e4819f609afaf61090d0df84"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "pvsched"
     [
@@ -591,6 +727,7 @@ let () =
             test_kpn_feedback_initial_tokens;
           Alcotest.test_case "starvation" `Quick test_kpn_starvation;
           Alcotest.test_case "drain ordering" `Quick test_kpn_drain_ordering;
+          Alcotest.test_case "doubled input" `Quick test_kpn_doubled_input;
         ] );
       ( "sched",
         [
@@ -615,5 +752,6 @@ let () =
           Alcotest.test_case "trace matches naive scan" `Quick
             test_trace_matches_reference;
           Alcotest.test_case "schedules pinned" `Quick test_schedules_pinned;
+          Alcotest.test_case "E15 streams pinned" `Quick test_e15_pinned;
         ] );
     ]
