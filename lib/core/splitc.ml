@@ -252,29 +252,3 @@ let guard (f : unit -> 'a) : ('a, error) result =
   match f () with
   | v -> Ok v
   | exception e -> ( match classify e with Some err -> Error err | None -> raise e)
-
-(** {1 Result-typed driver API} — the exception-free face of the pipeline,
-    for embedders that want every failure as a value. *)
-
-let frontend_result ?name ?tr src = guard (fun () -> frontend ?name ?tr src)
-
-let offline_result_r ?mode ?tr ?metrics p =
-  guard (fun () -> offline ?mode ?tr ?metrics p)
-
-let online_r ?mode ~machine ?mem_size ?alloc_limit ?engine ?limits ?tr
-    ?metrics ?ledger bytecode =
-  guard (fun () ->
-      online ?mode ~machine ?mem_size ?alloc_limit ?engine ?limits ?tr
-        ?metrics ?ledger bytecode)
-
-let interpret_r ?mem_size ?alloc_limit ?engine ?limits ?profile ?sampler ?tr
-    ?ledger bytecode =
-  guard (fun () ->
-      interpret ?mem_size ?alloc_limit ?engine ?limits ?profile ?sampler ?tr
-        ?ledger bytecode)
-
-let run_source_r ?mode ~machine ?mem_size ?engine ?limits ?tr ?metrics ?ledger
-    src =
-  guard (fun () ->
-      run_source ?mode ~machine ?mem_size ?engine ?limits ?tr ?metrics ?ledger
-        src)

@@ -122,10 +122,10 @@ val run_source :
 (** {1 Error taxonomy}
 
     One typed sum covering every failure the distribution pipeline can
-    hit, with stable process exit codes.  Drivers ({!guard}, the [_r]
-    functions below, and the [pvsc]/[pvrun] tools) guarantee that no raw
-    exception or backtrace escapes to an end user on any input, however
-    hostile. *)
+    hit, with stable process exit codes.  {!guard} and the [pvsc]/[pvrun]
+    tools guarantee that no raw exception or backtrace escapes to an end
+    user on any input, however hostile: wrap any pipeline arrow above in
+    {!guard} to get every failure as a value. *)
 
 type error =
   | Frontend_error of string  (** MiniC lex/parse/type error (exit 2) *)
@@ -152,53 +152,3 @@ val classify : exn -> error option
 (** Run a pipeline fragment, folding any classified exception into
     [Error]; unknown exceptions still propagate. *)
 val guard : (unit -> 'a) -> ('a, error) result
-
-(** {1 Result-typed driver API} — exception-free variants of the arrows
-    above, for embedders that want every failure as a value. *)
-
-val frontend_result :
-  ?name:string -> ?tr:Pvtrace.Trace.t -> string -> (Pvir.Prog.t, error) result
-
-val offline_result_r :
-  ?mode:mode ->
-  ?tr:Pvtrace.Trace.t ->
-  ?metrics:Pvtrace.Metrics.t ->
-  Pvir.Prog.t ->
-  (offline_result, error) result
-
-val online_r :
-  ?mode:mode ->
-  machine:Pvmach.Machine.t ->
-  ?mem_size:int ->
-  ?alloc_limit:int ->
-  ?engine:Pvvm.Sim.engine ->
-  ?limits:Pvir.Serial.limits ->
-  ?tr:Pvtrace.Trace.t ->
-  ?metrics:Pvtrace.Metrics.t ->
-  ?ledger:Pvtrace.Ledger.t ->
-  string ->
-  (online_result, error) result
-
-val interpret_r :
-  ?mem_size:int ->
-  ?alloc_limit:int ->
-  ?engine:Pvvm.Interp.engine ->
-  ?limits:Pvir.Serial.limits ->
-  ?profile:Pvvm.Profile.t ->
-  ?sampler:Pvprof.t ->
-  ?tr:Pvtrace.Trace.t ->
-  ?ledger:Pvtrace.Ledger.t ->
-  string ->
-  (Pvvm.Interp.t, error) result
-
-val run_source_r :
-  ?mode:mode ->
-  machine:Pvmach.Machine.t ->
-  ?mem_size:int ->
-  ?engine:Pvvm.Sim.engine ->
-  ?limits:Pvir.Serial.limits ->
-  ?tr:Pvtrace.Trace.t ->
-  ?metrics:Pvtrace.Metrics.t ->
-  ?ledger:Pvtrace.Ledger.t ->
-  string ->
-  (offline_result * online_result, error) result

@@ -25,8 +25,11 @@
    context no longer carries trap and intrinsic closures.  9: both
    backends emit through the shared [Emit] core (fuel rewinds cover
    spill operations); simulator plugins are typed per def-use web, batch
-   their charges and keep vector lanes unboxed via [Lanes]. *)
-let codegen_version = 9
+   their charges and keep vector lanes unboxed via [Lanes].  10: the
+   [Aotabi] interface records the context as every engine's activation
+   context; generated code is unchanged, but the interface CRC plugins
+   link against moved. *)
+let codegen_version = 10
 
 type toolchain = {
   native : bool;  (** true: ocamlopt -shared -> .cmxs; false: ocamlc -> .cmo *)
@@ -177,7 +180,6 @@ let retry_delays = ref default_retry_delays
 let set_retry_delays ds = retry_delays := ds
 let compile_attempts_a = Atomic.make 0
 let compile_attempts () = Atomic.get compile_attempts_a
-let reset_compile_attempts () = Atomic.set compile_attempts_a 0
 
 (** Compile [src_path] to [out_path], retrying on the bounded
     [retry_delays] schedule.  The final [Error] carries the last

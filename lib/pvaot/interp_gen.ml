@@ -60,14 +60,13 @@ let interp_cls (ty : Types.t) =
 type gen = {
   e : Emit.st;
   fn : Func.t;
-  dispatch : int;
   fnindex : (string, int) Hashtbl.t;  (** program function name → index *)
   img : Pvvm.Image.t;
 }
 
 let emit_instr g (i : Instr.t) =
   let st = g.e in
-  let d_cost = g.dispatch in
+  let d_cost = Pvvm.Decode.dispatch_cost in
   match i with
   | Instr.Const (d, v) ->
     add_charge st (d_cost + 1);
@@ -243,8 +242,8 @@ let emit_instr g (i : Instr.t) =
 
 let emit_terminator g nblocks label_index (term : Instr.term) =
   let st = g.e in
-  (* block dispatch costs one charge of [dispatch_cost] cycles *)
-  add_charge st g.dispatch;
+  (* block dispatch costs one charge of [Decode.dispatch_cost] cycles *)
+  add_charge st Pvvm.Decode.dispatch_cost;
   flush st;
   let target l =
     match label_index l with
@@ -266,7 +265,7 @@ let emit_terminator g nblocks label_index (term : Instr.term) =
     emit_guard st r;
     line st "(let rv_ = %s in ctx.A.sp <- saved_sp_; Some rv_)" (boxed st r)
 
-let emit_function buf img fnindex ~dispatch_cost ~first idx (fn : Func.t) =
+let emit_function buf img fnindex ~first idx (fn : Func.t) =
   let blocks = Array.of_list fn.Func.blocks in
   let label_tbl = Hashtbl.create 16 in
   Array.iteri
@@ -301,7 +300,7 @@ let emit_function buf img fnindex ~dispatch_cost ~first idx (fn : Func.t) =
     Printf.sprintf "read of uninitialized register r%d in %s" r fn.Func.name
   in
   let st, nwide, nfloat = Emit.create buf a ~cls_of ~guard_msg in
-  let g = { e = st; fn; dispatch = dispatch_cost; fnindex; img } in
+  let g = { e = st; fn; fnindex; img } in
   let kw = if first then "let rec" else "and" in
   line st "%s f_%d (ctx : A.ctx) (args_ : V.t list) : V.t option =" kw idx;
   st.ind <- "  ";
@@ -357,7 +356,7 @@ let emit_function buf img fnindex ~dispatch_cost ~first idx (fn : Func.t) =
     {!Emit.Unsupported} (or any exception out of program introspection) when
     exact compilation is not possible — callers treat every exception as
     "fall back". *)
-let generate (img : Pvvm.Image.t) ~dispatch_cost : string * string * string =
+let generate (img : Pvvm.Image.t) : string * string * string =
   let prog = img.Pvvm.Image.prog in
   (* The pretty-printed program alone under-keys the cache: [Pp] never
      prints global annotations, so two programs differing only in their
@@ -365,7 +364,8 @@ let generate (img : Pvvm.Image.t) ~dispatch_cost : string * string * string =
      in as its own section. *)
   let digest =
     Build.digest_of_dump
-      (Printf.sprintf "interp\x00%d\x00%s\x00annots\x00%s" dispatch_cost
+      (Printf.sprintf "interp\x00%d\x00%s\x00annots\x00%s"
+         Pvvm.Decode.dispatch_cost
          (Pvir.Pp.program_to_string prog)
          (Pvir.Prog.annotations_dump prog))
   in
@@ -381,7 +381,7 @@ let generate (img : Pvvm.Image.t) ~dispatch_cost : string * string * string =
     (fun i (f : Func.t) ->
       (* duplicate names: only the first is callable, but all are emitted
          so indices stay aligned *)
-      emit_function buf img fnindex ~dispatch_cost ~first:(i = 0) i f)
+      emit_function buf img fnindex ~first:(i = 0) i f)
     prog.Pvir.Prog.funcs;
   (* digest of the generated body so far — baked into the plugin's
      registration and re-derived by the loader from the current

@@ -5,12 +5,14 @@
     inversion points at runners in this module.  Each runner prepares
     compiled code for the engine's program once (kept on the engine,
     backed by an in-process plugin table and a digest-keyed on-disk
-    artifact cache), seeds an {!Pvvm.Aotabi.ctx} from the engine state,
-    runs the plugin entry and flushes counters back — falling back to the
-    threaded engine whenever the toolchain is unavailable, the program
-    uses something the generator does not support, or the entry
-    arguments do not match the parameter shapes the generated code
-    unboxes.  Fallback preserves observable behaviour exactly, so
+    artifact cache) and runs the plugin entry on the {!Pvvm.Aotabi.ctx}
+    the executor entered for the activation — falling back to the
+    threaded engine, on the same context, whenever the toolchain is
+    unavailable, the program uses something the generator does not
+    support, or the entry arguments do not match the parameter shapes
+    the generated code unboxes.  The executor writes the context back
+    when the activation ends, so a runner neither seeds nor flushes
+    anything.  Fallback preserves observable behaviour exactly, so
     selecting the AOT engine is always safe. *)
 
 module Aotabi = Pvvm.Aotabi
@@ -194,26 +196,6 @@ let args_match (fn : Pvir.Func.t) (args : Pvir.Value.t list) =
 (* ------------------------------------------------------------------ *)
 (* Interpreter runner                                                  *)
 
-let interp_ctx (t : Pvvm.Interp.t) : Aotabi.ctx =
-  {
-    Aotabi.mem = t.Pvvm.Interp.img.Pvvm.Image.mem;
-    globals_end = t.Pvvm.Interp.img.Pvvm.Image.layout.globals_end;
-    sp = t.Pvvm.Interp.sp;
-    cycles = Int64.to_int t.Pvvm.Interp.stats.Pvvm.Interp.cycles;
-    instrs = Int64.to_int t.Pvvm.Interp.stats.Pvvm.Interp.instrs;
-    spills = 0;
-    calls = t.Pvvm.Interp.stats.Pvvm.Interp.calls;
-    fuel = Pvvm.Vm.clamp t.Pvvm.Interp.fuel;
-    fuel_exn = Pvvm.Vm.Trap Pvvm.Interp.fuel_exhausted_msg;
-    out = t.Pvvm.Interp.out;
-  }
-
-let flush_interp_ctx (t : Pvvm.Interp.t) (c : Aotabi.ctx) =
-  t.Pvvm.Interp.stats.Pvvm.Interp.cycles <- Int64.of_int c.Aotabi.cycles;
-  t.Pvvm.Interp.stats.Pvvm.Interp.instrs <- Int64.of_int c.Aotabi.instrs;
-  t.Pvvm.Interp.stats.Pvvm.Interp.calls <- c.Aotabi.calls;
-  t.Pvvm.Interp.sp <- c.Aotabi.sp
-
 (* Generate, then compile or fetch, on an available toolchain; [wrap]
    adapts each loaded entry to its engine. *)
 let prepare_with tr ~subject gen =
@@ -244,16 +226,15 @@ let prepare_interp (t : Pvvm.Interp.t) : outcome =
       prepare_with t.Pvvm.Interp.tr ~subject:"interp" (fun () ->
           let digest, src_digest, source =
             Interp_gen.generate t.Pvvm.Interp.img
-              ~dispatch_cost:t.Pvvm.Interp.dispatch_cost
           in
           (digest, src_digest, source, Fun.id))
     in
     t.Pvvm.Interp.aot <- Some o;
     o
 
-let interp_runner (t : Pvvm.Interp.t) (fn : Pvir.Func.t)
+let interp_runner (t : Pvvm.Interp.t) (c : Aotabi.ctx) (fn : Pvir.Func.t)
     (args : Pvir.Value.t list) : Pvir.Value.t option =
-  let fallback () = Pvvm.Interp.threaded_call t fn args in
+  let fallback () = Pvvm.Interp.threaded t c fn args in
   (* An armed checkpoint needs safepoint polls and virtual-register
      capture, which compiled code cannot provide mid-activation: the
      whole activation runs threaded instead (accounting-identical by
@@ -281,11 +262,7 @@ let interp_runner (t : Pvvm.Interp.t) (fn : Pvir.Func.t)
             List.length args = List.length fn.Pvir.Func.params
             && not (args_match fn args)
           then fallback ()
-          else
-            let c = interp_ctx t in
-            Fun.protect
-              ~finally:(fun () -> flush_interp_ctx t c)
-              (fun () -> entry c args)))
+          else entry c args))
     | _ -> fallback ()
 
 (* ------------------------------------------------------------------ *)
@@ -299,26 +276,6 @@ let sim_snapshot (t : Pvvm.Sim.t) : (string * Pvmach.Mir.func) list =
 (* Raised by a simulator entry before it touches the context: the
    arguments do not fit the shapes the generated code unboxes. *)
 exception Shape_mismatch
-
-let sim_ctx (t : Pvvm.Sim.t) : Aotabi.ctx =
-  {
-    Aotabi.mem = t.Pvvm.Sim.img.Pvvm.Image.mem;
-    globals_end = t.Pvvm.Sim.img.Pvvm.Image.layout.globals_end;
-    sp = t.Pvvm.Sim.sp;
-    cycles = Int64.to_int t.Pvvm.Sim.stats.Pvvm.Sim.cycles;
-    instrs = Int64.to_int t.Pvvm.Sim.stats.Pvvm.Sim.instrs;
-    spills = Int64.to_int t.Pvvm.Sim.stats.Pvvm.Sim.spill_ops;
-    calls = 0;
-    fuel = Pvvm.Vm.clamp t.Pvvm.Sim.fuel;
-    fuel_exn = Pvvm.Vm.Trap Pvvm.Sim.fuel_exhausted_msg;
-    out = t.Pvvm.Sim.out;
-  }
-
-let flush_sim_ctx (t : Pvvm.Sim.t) (c : Aotabi.ctx) =
-  t.Pvvm.Sim.stats.Pvvm.Sim.cycles <- Int64.of_int c.Aotabi.cycles;
-  t.Pvvm.Sim.stats.Pvvm.Sim.instrs <- Int64.of_int c.Aotabi.instrs;
-  t.Pvvm.Sim.stats.Pvvm.Sim.spill_ops <- Int64.of_int c.Aotabi.spills;
-  t.Pvvm.Sim.sp <- c.Aotabi.sp
 
 (** Prepare (or fetch) compiled code for a simulator's current code
     cache; the outcome stays on the simulator until {!Pvvm.Sim.add_func}
@@ -344,9 +301,9 @@ let prepare_sim (t : Pvvm.Sim.t) : outcome =
     t.Pvvm.Sim.aot <- Some o;
     o
 
-let sim_runner (t : Pvvm.Sim.t) (fn : Pvmach.Mir.func)
+let sim_runner (t : Pvvm.Sim.t) (c : Aotabi.ctx) (fn : Pvmach.Mir.func)
     (args : Pvir.Value.t list) : Pvir.Value.t option =
-  let fallback () = Pvvm.Sim.threaded_call t fn args in
+  let fallback () = Pvvm.Sim.threaded t c fn args in
   match Hashtbl.find_opt t.Pvvm.Sim.code fn.Pvmach.Mir.mname with
   | Some ce when ce.Pvvm.Sim.cfn == fn -> (
     match prepare_sim t with
@@ -355,14 +312,9 @@ let sim_runner (t : Pvvm.Sim.t) (fn : Pvmach.Mir.func)
       match List.assoc_opt fn.Pvmach.Mir.mname p.entries with
       | None -> fallback ()
       | Some entry -> (
-        (* a mismatch leaves the context untouched, so its flush is a
-           no-op before the threaded run *)
-        let c = sim_ctx t in
-        match
-          Fun.protect
-            ~finally:(fun () -> flush_sim_ctx t c)
-            (fun () -> entry c args)
-        with
+        (* a mismatch leaves the context untouched, so the threaded run
+           starts from the same state *)
+        match entry c args with
         | r -> r
         | exception Shape_mismatch -> fallback ())))
   | _ -> fallback ()

@@ -88,17 +88,3 @@ let check ?(period = default_period) (prog : Prog.t) : Oracle.mismatch list =
       rest
   | [] -> ());
   !ms
-
-(** Property-test entry point: [run ~seed ~count] checks [count]
-    generated programs starting at [seed]; returns the seeds that
-    produced mismatches with their findings. *)
-let run ~seed ~count : (int * Oracle.mismatch list) list =
-  let bad = ref [] in
-  for i = 0 to count - 1 do
-    let s = seed + i in
-    let prog = Gen.program ~seed:s in
-    match check prog with
-    | [] -> ()
-    | ms -> bad := (s, ms) :: !bad
-  done;
-  List.rev !bad

@@ -167,11 +167,6 @@ let ranking t : ((string * int) * int64) list =
 let fn_weight t fname =
   match Hashtbl.find_opt t.fn_w fname with Some r -> !r | None -> 0L
 
-let block_weight t fname label =
-  match Hashtbl.find_opt t.blk_w (fname, label) with
-  | Some r -> !r
-  | None -> 0L
-
 (** Human-readable hot-block table (heaviest first, cycle weight and
     share of the total). *)
 let ranking_table ?(limit = 20) t : string =

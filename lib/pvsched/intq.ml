@@ -1,6 +1,6 @@
 (** FIFO of native ints in a growable ring buffer: the per-channel token
-    arrival times of {!Sched} and {!Mapper}, kept unboxed beside the
-    net's own token queues. *)
+    arrivals of {!Mapper.timing}, kept unboxed beside the net's own token
+    queues. *)
 
 type t = { mutable a : int array; mutable head : int; mutable len : int }
 

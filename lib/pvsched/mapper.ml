@@ -182,36 +182,101 @@ type decision =
           checkpointed there, then resumed on [survivor] after
           [overhead] cycles *)
 
-(** Token arrivals, per channel of [v]: two ints per token not yet
-    consumed, the cycle it arrives and the slot of the core that
-    produced it.  Tokens already queued are external: they arrive at
-    cycle 0 from slot -1, so on every core at once. *)
-let token_arrivals (v : Kpn.view) : Intq.t array =
-  Array.map
-    (fun q ->
-      let a = Intq.create () in
-      Queue.iter
-        (fun _ ->
-          Intq.push a 0;
-          Intq.push a (-1))
-        q;
-      a)
-    v.Kpn.queues
+(** The firing-time rule of both list schedulers, {!list_schedule} and
+    [Sched.execute]:
+    - a firing starts when its core is free and its last input token has
+      arrived;
+    - a token produced on another core arrives [transfer_cost] cycles
+      later;
+    - a firing's output tokens arrive at its end cycle, from its core.
+
+    Cores are slots, [0 .. ncores - 1].  Per channel of the view, each
+    token not yet consumed has an arrival: two ints in one FIFO, the
+    cycle and the slot of the core that produced it.  Tokens already
+    queued are external: they arrive at cycle 0 from slot -1, so on
+    every core at once. *)
+type timing = {
+  transfer : int;
+  arrivals : Intq.t array;  (** per channel *)
+  free : int array;  (** per core slot: the cycle it is next free *)
+  arrived : int array;  (** the taken inputs' arrival cycles… *)
+  source : int array;  (** …and producing slots *)
+  mutable n_taken : int;
+}
+
+let timing (platform : platform) (v : Kpn.view) : timing =
+  let max_ins =
+    Array.fold_left (fun m a -> Int.max m (Array.length a)) 0 v.Kpn.ins
+  in
+  {
+    transfer = platform.transfer_cost;
+    arrivals =
+      Array.map
+        (fun q ->
+          let a = Intq.create () in
+          Queue.iter
+            (fun _ ->
+              Intq.push a 0;
+              Intq.push a (-1))
+            q;
+          a)
+        v.Kpn.queues;
+    free = Array.make (List.length platform.cores) 0;
+    arrived = Array.make max_ins 0;
+    source = Array.make max_ins (-1);
+    n_taken = 0;
+  }
+
+(** Take the arrival of one token from each channel of [ins], the inputs
+    of the firing about to be scheduled. *)
+let take_inputs tm (ins : int array) =
+  for k = 0 to Array.length ins - 1 do
+    let a = tm.arrivals.(ins.(k)) in
+    tm.arrived.(k) <- Intq.pop a;
+    tm.source.(k) <- Intq.pop a
+  done;
+  tm.n_taken <- Array.length ins
+
+(** The cycle the firing whose inputs were just taken could start on
+    core slot [s]. *)
+let earliest_start tm s =
+  let start = ref tm.free.(s) in
+  for k = 0 to tm.n_taken - 1 do
+    let t =
+      if tm.source.(k) < 0 || tm.source.(k) = s then tm.arrived.(k)
+      else tm.arrived.(k) + tm.transfer
+    in
+    if t > !start then start := t
+  done;
+  !start
+
+(** Core slot [s] is busy until cycle [until]. *)
+let occupy tm s until = tm.free.(s) <- until
+
+(** One token on channel [ch] arrives at cycle [at], produced on core
+    slot [s]. *)
+let arrive tm ch ~at s =
+  let a = tm.arrivals.(ch) in
+  Intq.push a at;
+  Intq.push a s
+
+(** The firing ran on core slot [s] until [t_end]: the core is free from
+    then on, and one token on each channel of [outs] arrives then. *)
+let finish tm s t_end (outs : int array) =
+  occupy tm s t_end;
+  Array.iter (fun ch -> arrive tm ch ~at:t_end s) outs
 
 (** The list scheduler behind {!schedule}, {!schedule_with_failure} and
     {!schedule_with_migration}.  It schedules [net]'s firings in dataflow
     order, as {!Kpn.fire_loop} fires them.  [decide i start_on] places
     each firing of process [i] (an index into [net.processes]), where
-    [start_on c] is the cycle the firing could start on core [c]: once
-    [c] is free and every input token has arrived, plus the transfer
-    cost for each token produced on another core.  Token arrival times
-    sit in one FIFO per channel, which starts with the channel's
-    external tokens (available at cycle 0 on every core).  The cost is
-    linear in the number of firings.  A [Split] firing is a truncated
-    span on the dying core up to [at], then the remaining work, rescaled
-    to the survivor's cost for the kernel, on the survivor.  Both spans
-    carry [se_migrated = true] and each split is recorded in [ledger] as
-    a {!Pvtrace.Ledger.Migrate} event.
+    [start_on c] is the cycle the firing could start on core [c] under
+    the {!timing} rule.  The cost is linear in the number of firings.  A
+    [Split] firing is a truncated span on the dying core up to [at],
+    then the remaining work, rescaled to the survivor's cost for the
+    kernel, on the survivor.  Both spans carry [se_migrated = true] and
+    each split is recorded in [ledger] as a {!Pvtrace.Ledger.Migrate}
+    event.
     @raise Invalid_argument when a firing is placed on a core that is not
     on [platform]. *)
 let list_schedule ?ledger (platform : platform) (cost : cost_model)
@@ -219,25 +284,9 @@ let list_schedule ?ledger (platform : platform) (cost : cost_model)
     sched_event list =
   let cores = Array.of_list platform.cores in
   let slot = core_slot cores in
-  let core_free = Array.make (Array.length cores) 0 in
   let v = Kpn.view net in
-  let arrivals = token_arrivals v in
-  (* the arrivals of the current firing's input tokens *)
-  let max_ins = Array.fold_left (fun m a -> Int.max m (Array.length a)) 0 v.Kpn.ins in
-  let arrived = Array.make max_ins 0 and source = Array.make max_ins (-1) in
-  let n_ins = ref 0 in
-  let start_on c =
-    let s = slot c in
-    let ready = ref 0 in
-    for k = 0 to !n_ins - 1 do
-      let t =
-        if source.(k) < 0 || source.(k) = s then arrived.(k)
-        else arrived.(k) + platform.transfer_cost
-      in
-      if t > !ready then ready := t
-    done;
-    Int.max !ready core_free.(s)
-  in
+  let tm = timing platform v in
+  let start_on c = earliest_start tm (slot c) in
   let start_on64 c = Int64.of_int (start_on c) in
   let index = Kpn.firing_index v in
   let events = ref [] in
@@ -254,31 +303,15 @@ let list_schedule ?ledger (platform : platform) (cost : cost_model)
       }
       :: !events
   in
-  let finish i c t_end =
-    let s = slot c in
-    core_free.(s) <- t_end;
-    let outs = v.Kpn.outs.(i) in
-    for k = 0 to Array.length outs - 1 do
-      let a = arrivals.(outs.(k)) in
-      Intq.push a t_end;
-      Intq.push a s
-    done
-  in
   let step i =
     let p = v.Kpn.procs.(i) in
     let firing = index i in
-    let ins = v.Kpn.ins.(i) in
-    for k = 0 to Array.length ins - 1 do
-      let a = arrivals.(ins.(k)) in
-      arrived.(k) <- Intq.pop a;
-      source.(k) <- Intq.pop a
-    done;
-    n_ins := Array.length ins;
+    take_inputs tm v.Kpn.ins.(i);
     match decide i start_on64 with
     | Run (c, remapped) ->
       let start = start_on c in
       let t_end = start + cost p c in
-      finish i c t_end;
+      finish tm (slot c) t_end v.Kpn.outs.(i);
       emit p firing c start t_end ~remapped ~migrated:false
     | Split { dying; survivor; at; overhead } ->
       let at = Int64.to_int at in
@@ -294,10 +327,10 @@ let list_schedule ?ledger (platform : platform) (cost : cost_model)
       emit p firing dying start0 at ~remapped:false ~migrated:true;
       (* the dying core was occupied right up to the failure; later
          firings must not be list-scheduled onto it in the past *)
-      core_free.(slot dying) <- at;
-      let start1 = Int.max (at + overhead) core_free.(slot survivor) in
+      occupy tm (slot dying) at;
+      let start1 = Int.max (at + overhead) tm.free.(slot survivor) in
       let end1 = start1 + rem1 in
-      finish i survivor end1;
+      finish tm (slot survivor) end1 v.Kpn.outs.(i);
       emit p firing survivor start1 end1 ~remapped:true ~migrated:true;
       Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Migrate
         ~subject:p.Kpn.pname

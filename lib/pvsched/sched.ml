@@ -86,9 +86,10 @@ let default_cost : Mapper.cost_model = fun p _ -> Int.max 1 p.Kpn.work
     gates {e new} production).  A process is ready when it meets
     {!Kpn}'s readiness rule {e and} every consumed output channel has
     room.  Firings are simulated as a list schedule over [platform] using
-    [cost] (default: [max 1 work] cycles anywhere) and [placement]
-    (default: {!Mapper.place}); FIFO and priority firings run on their
-    placed core, work stealing may run a firing on the idle thief.
+    [cost] (default: [max 1 work] cycles anywhere), [placement]
+    (default: {!Mapper.place}) and {!Mapper.timing}'s firing-time rule;
+    FIFO and priority firings run on their placed core, work stealing
+    may run a firing on the idle thief.
 
     Channel values are computed for real — [fire] runs — and the full
     per-channel history is returned in [streams].
@@ -112,8 +113,8 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   let n = Array.length procs in
   let core_of = Mapper.core_of placement and slot = Mapper.core_slot cores in
   let home = Array.map (fun p -> slot (core_of p)) procs in
-  (* token availability parallels the value queues *)
-  let times = Mapper.token_arrivals v in
+  (* token arrivals and core free times parallel the value queues *)
+  let tm = Mapper.timing platform v in
   (* per channel, every token it has carried, newest first *)
   let history =
     Array.map (fun q -> Queue.fold (fun acc t -> t :: acc) [] q) queues
@@ -172,7 +173,6 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   done;
   (* cycle counts are native ints, exact to 2^62; int64 appears only in
      the events and stats returned *)
-  let free_at = Array.make ncores 0 in
   let busy = Array.make ncores 0 in
   let fired = Array.make n 0 in
   let steals = ref 0 in
@@ -216,26 +216,12 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
     let p = procs.(i) in
     let ins = v.Kpn.ins.(i) and outs = v.Kpn.outs.(i) in
     let toks = Kpn.take v i in
-    (* the availability times of the tokens just taken *)
-    let inputs_ready = ref 0 in
-    for k = 0 to Array.length ins - 1 do
-      let tq = times.(ins.(k)) in
-      let t = Intq.pop tq in
-      let src = Intq.pop tq in
-      let t =
-        if src >= 0 && src <> core_i then t + platform.Mapper.transfer_cost
-        else t
-      in
-      if t > !inputs_ready then inputs_ready := t
-    done;
+    Mapper.take_inputs tm ins;
     consumed := !consumed + Array.length ins;
-    let start =
-      if free_at.(core_i) > !inputs_ready then free_at.(core_i)
-      else !inputs_ready
-    in
+    let start = Mapper.earliest_start tm core_i in
     let c = cost p cores.(core_i) in
     let t_end = start + c in
-    free_at.(core_i) <- t_end;
+    Mapper.occupy tm core_i t_end;
     busy.(core_i) <- busy.(core_i) + c;
     if t_end > !makespan then makespan := t_end;
     let results = p.Kpn.fire toks in
@@ -262,8 +248,7 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
         if not (buggy && k = 0) then begin
           let ch = outs.(k) in
           Queue.add tok queues.(ch);
-          Intq.push times.(ch) t_end;
-          Intq.push times.(ch) core_i;
+          Mapper.arrive tm ch ~at:t_end core_i;
           history.(ch) <- tok :: history.(ch);
           incr produced
         end)
@@ -309,9 +294,10 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
     | Work_stealing -> (
       (* next decision point: the earliest-free core (ties: lowest
          index) *)
+      let free = tm.Mapper.free in
       let thief = ref 0 in
       for c = 1 to ncores - 1 do
-        if free_at.(c) < free_at.(!thief) then thief := c
+        if free.(c) < free.(!thief) then thief := c
       done;
       match pick_steal !thief with
       | Some (i, stolen) ->

@@ -1,19 +1,25 @@
-(** ABI between the VM and AOT-compiled plugins (see [lib/pvaot]).
+(** The activation context of every engine, and the ABI between the VM
+    and AOT-compiled plugins (see [lib/pvaot]).
 
     The AOT backend translates a verified PVIR program (or the JIT's
     lowered MIR) into OCaml source, compiles it out of process and
     [Dynlink]s the result.  The generated code cannot touch [Interp.t] or
     [Sim.t] directly — that would chase mutable boxed [int64] counters on
     every instruction and tie the plugin to engine internals — so it runs
-    against this small, stable context record instead:
+    against this small, stable context record instead.  So do the
+    tree-walk and threaded engines of both executors: one record per
+    activation, charged by whichever engine runs it.
 
-    - counters are plain unboxed [int]s holding *absolute* values, seeded
-      from the engine's [stats] exactly like the threaded engine's [ectx]
-      and flushed back when the activation ends (normally or by
-      exception);
-    - [fuel] is pre-clamped with {!Vm.clamp}, like the threaded
-      engines' budget, and exhaustion raises the pre-built [fuel_exn],
-      whose message names the executor that built the context;
+    - [Interp.enter] / [Sim.enter] build the record once per activation,
+      at the executor's public entry points only — activations do not
+      nest.  [Interp.leave] / [Sim.leave] write it back into the
+      executor's [stats] and [sp] when the activation ends (normally or
+      by exception); no engine touches those inside an activation.
+    - Counters are plain unboxed [int]s holding *absolute* values, seeded
+      from the executor's [stats].
+    - [fuel] is pre-clamped with {!Vm.clamp}, and exhaustion raises the
+      pre-built [fuel_exn], whose message names the executor that built
+      the context.
     - [out] is the executor's output buffer, handed to {!Vm.intrinsic}.
 
     Everything else of the run contract the generated code takes from

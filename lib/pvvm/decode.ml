@@ -89,8 +89,13 @@ type dfunc = {
   dsrc : Pvir.Func.t;  (** identity key: re-decode when replaced *)
 }
 
-let decode_instr ~dispatch_cost ~img ~(fn : Pvir.Func.t) (i : Pvir.Instr.t) :
-    dinstr =
+(** Cycles the interpreter charges to decode and dispatch one instruction
+    or one block's terminator, on top of the operation's own work.  Every
+    engine charges it: this decoder folds it into each decoded cost, the
+    tree-walker and the AOT generator add it themselves. *)
+let dispatch_cost = 8
+
+let decode_instr ~img ~(fn : Pvir.Func.t) (i : Pvir.Instr.t) : dinstr =
   let reg_ty = Pvir.Func.reg_type fn in
   let base = dispatch_cost + 1 in
   match i with
@@ -147,12 +152,11 @@ let decode_instr ~dispatch_cost ~img ~(fn : Pvir.Func.t) (i : Pvir.Instr.t) :
   | Pvir.Instr.Extract (d, a, lane) -> DExtract { cost = base; d; a; lane }
   | Pvir.Instr.Reduce (op, d, a) -> DReduce { cost = base; op; d; a }
 
-(** [func ~dispatch_cost ~img fn] pre-decodes [fn] for execution with the
-    given dispatch cost against [img].  Raises [Invalid_argument] on
-    anything the verifier rejects: a register outside [\[0, next_reg)] or
-    without a type, an unknown global, a terminator targeting a missing
-    block. *)
-let func ~dispatch_cost ~(img : Image.t) (fn : Pvir.Func.t) : dfunc =
+(** [func ~img fn] pre-decodes [fn] for execution against [img].  Raises
+    [Invalid_argument] on anything the verifier rejects: a register
+    outside [\[0, next_reg)] or without a type, an unknown global, a
+    terminator targeting a missing block. *)
+let func ~(img : Image.t) (fn : Pvir.Func.t) : dfunc =
   let blocks = Array.of_list fn.Pvir.Func.blocks in
   let idx_of = Hashtbl.create 16 in
   Array.iteri
@@ -180,7 +184,7 @@ let func ~dispatch_cost ~(img : Image.t) (fn : Pvir.Func.t) : dfunc =
     let decode i =
       Option.iter check (Pvir.Instr.def i);
       List.iter check (Pvir.Instr.uses i);
-      decode_instr ~dispatch_cost ~img ~fn i
+      decode_instr ~img ~fn i
     in
     List.iter check (Pvir.Instr.term_uses b.Pvir.Func.term);
     {

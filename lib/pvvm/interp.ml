@@ -17,22 +17,25 @@
     - [Threaded] (default) — pre-decodes each function once with
       {!Decode} into a flat array form (labels → indices, costs
       precomputed, types resolved) and dispatches over it with an
-      index-driven loop and unboxed cycle counters.  Decoded functions
-      are cached per function identity, so repeated [run]/[call]
-      invocations decode nothing.  Decoding is total on the verified
-      programs an {!Image} holds, so the loop has one case per
-      instruction and no run-time replay of the tree-walker; a function
-      the verifier would reject raises [Invalid_argument] when it is
-      first decoded.
+      index-driven loop.  Decoded functions are cached per function
+      identity, so repeated [run]/[call] invocations decode nothing.
+      Decoding is total on the verified programs an {!Image} holds, so
+      the loop has one case per instruction and no run-time replay of
+      the tree-walker; a function the verifier would reject raises
+      [Invalid_argument] when it is first decoded.
 
     Both engines, and the AOT engine behind {!aot_hook}, keep the run
     contract of {!Vm}: they raise its one {!Vm.Trap}, call its intrinsic
-    dispatcher and share its engine vocabulary.
+    dispatcher and share its engine vocabulary.  All three run an
+    activation on one {!Aotabi.ctx}: {!call_untraced} (or
+    {!resume_frames}) {!enter}s it once, every engine charges cycles,
+    instructions and calls and moves [sp] on it, and {!leave} writes it
+    back into [stats] and [sp] when the activation ends.
 
-    Cost model: each interpreted instruction costs [dispatch_cost] cycles
-    of decode/dispatch plus the work of the operation itself (vector
-    builtins are scalarized lane by lane, as a portable interpreter
-    would). *)
+    Cost model: each interpreted instruction costs {!Decode.dispatch_cost}
+    cycles of decode/dispatch plus the work of the operation itself
+    (vector builtins are scalarized lane by lane, as a portable
+    interpreter would). *)
 
 (** Canonical fuel-exhaustion message: the tools classify a {!Vm.Trap}
     carrying this text as a *resource limit* rather than a guest
@@ -65,7 +68,6 @@ type t = {
   mutable sp : int;
   out : Buffer.t;  (** captured output of the print intrinsics *)
   stats : stats;
-  dispatch_cost : int;
   profile : Profile.t option;
   fuel : int64;  (** execution budget; {!Vm.Trap} when exhausted *)
   mutable engine : engine;
@@ -76,11 +78,12 @@ type t = {
   dcache : (string, Decode.dfunc) Hashtbl.t;
       (** decoded-code cache of the threaded engine, keyed by function
           name and validated against the function's identity *)
-  mutable ckpt_at : int64;
+  mutable ckpt_at : int;
       (** checkpoint request: capture a snapshot at the first safepoint
-          (block boundary) once [stats.instrs >= ckpt_at].  [-1L] means
-          no request; the engines' fast paths stay exception-free and
-          catch-free while unarmed. *)
+          (block boundary) once the instruction count reaches [ckpt_at].
+          [max_int] means no request, so the per-block poll is one
+          compare that never fires, and the engines' fast paths stay
+          exception-free and catch-free. *)
   mutable ckpt_snap : Pvir.Ckpt.t option;  (** last captured snapshot *)
   mutable pdigest : string option;
       (** memoized [Ckpt.prog_digest] of the loaded program *)
@@ -89,10 +92,10 @@ type t = {
           safepoints) against the cycle clock, so profiled and
           unprofiled runs are bit-identical in results, output and
           accounting *)
-  mutable sample_at : int64;
-      (** cached [Pvprof.next_at] of the sampler; [Int64.max_int] when
-          no sampler is armed, so the per-block poll is one compare
-          that never fires on the fast path *)
+  mutable sample_at : int;
+      (** cached [Pvprof.next_at] of the sampler, clamped to an [int];
+          [max_int] when no sampler is armed, so the per-block poll is
+          one compare that never fires on the fast path *)
   mutable sstack : string list;
       (** shadow activation stack for the sampler (function names,
           innermost first); maintained only while a sampler is armed *)
@@ -100,27 +103,26 @@ type t = {
       (** the AOT backend's prepared code for [img] (see [lib/pvaot]) *)
 }
 
-let create ?(dispatch_cost = 8) ?profile ?sampler ?(fuel = 1_000_000_000L)
-    ?(engine = Threaded) ?tr img =
+let create ?profile ?sampler ?(fuel = 1_000_000_000L) ?(engine = Threaded) ?tr
+    img =
   {
     img;
     sp = Image.initial_sp img;
     out = Buffer.create 64;
     stats = { cycles = 0L; instrs = 0L; calls = 0 };
-    dispatch_cost;
     profile;
     fuel;
     engine;
     tr;
     dcache = Hashtbl.create 16;
-    ckpt_at = -1L;
+    ckpt_at = max_int;
     ckpt_snap = None;
     pdigest = None;
     sampler;
     sample_at =
       (match sampler with
-      | Some s -> Pvprof.next_at s
-      | None -> Int64.max_int);
+      | Some s -> Vm.clamp (Pvprof.next_at s)
+      | None -> max_int);
     sstack = [];
     aot = None;
   }
@@ -128,33 +130,64 @@ let create ?(dispatch_cost = 8) ?profile ?sampler ?(fuel = 1_000_000_000L)
 (** Arm a sampling profiler (or re-arm after {!create} without one). *)
 let set_sampler t s =
   t.sampler <- Some s;
-  t.sample_at <- Pvprof.next_at s
+  t.sample_at <- Vm.clamp (Pvprof.next_at s)
 
-(* Record one sample at a block-entry safepoint.  [t.stats.cycles] must
-   be current (the threaded engine flushes its unboxed counters first). *)
-let take_sample t fname label =
+(* Record one sample at a block-entry safepoint, at the activation's
+   current cycle count. *)
+let take_sample t (c : Aotabi.ctx) fname label =
   match t.sampler with
   | None -> ()
   | Some s ->
-    Pvprof.sample s ~cycles:t.stats.cycles ~stack:t.sstack ~fn:fname
+    Pvprof.sample s ~cycles:(Int64.of_int c.cycles) ~stack:t.sstack ~fn:fname
       ~block:label;
-    t.sample_at <- Pvprof.next_at s
+    t.sample_at <- Vm.clamp (Pvprof.next_at s)
 
 let set_trace t tr = t.tr <- tr
 
 let output t = Buffer.contents t.out
 let cycles t = t.stats.cycles
 
-let charge t n =
-  t.stats.cycles <- Int64.add t.stats.cycles (Int64.of_int n);
-  t.stats.instrs <- Int64.add t.stats.instrs 1L;
-  if Int64.compare t.stats.instrs t.fuel > 0 then
-    raise (Vm.Trap fuel_exhausted_msg)
+(* ---------------- the activation context ---------------- *)
+
+let fuel_exn = Vm.Trap fuel_exhausted_msg
+
+(** Seed an activation's context from [t]: counters, [sp] and the fuel
+    budget clamped to an [int].  Only the public entry points enter;
+    activations do not nest. *)
+let enter t : Aotabi.ctx =
+  {
+    Aotabi.mem = t.img.Image.mem;
+    globals_end = t.img.Image.layout.globals_end;
+    sp = t.sp;
+    cycles = Int64.to_int t.stats.cycles;
+    instrs = Int64.to_int t.stats.instrs;
+    spills = 0;
+    calls = t.stats.calls;
+    fuel = Vm.clamp t.fuel;
+    fuel_exn;
+    out = t.out;
+  }
+
+(** Write an activation's counters and [sp] back into [t], whether it
+    returned, trapped or checkpointed. *)
+let leave t (c : Aotabi.ctx) =
+  t.stats.cycles <- Int64.of_int c.cycles;
+  t.stats.instrs <- Int64.of_int c.instrs;
+  t.stats.calls <- c.calls;
+  t.sp <- c.sp
+
+(* Charge one instruction of [n] cycles.  Defined here, not shared with
+   {!Sim}: dune's default profile compiles this library [-opaque], so a
+   charge from another module would be an indirect call through that
+   module's block on every instruction. *)
+let charge (c : Aotabi.ctx) n =
+  c.cycles <- c.cycles + n;
+  c.instrs <- c.instrs + 1;
+  if c.instrs > c.fuel then raise c.fuel_exn
 
 (* ---------------- checkpoint requests ---------------- *)
 
-let ckpt_armed t = Int64.compare t.ckpt_at 0L >= 0
-let ckpt_due t = ckpt_armed t && Int64.compare t.stats.instrs t.ckpt_at >= 0
+let ckpt_armed t = t.ckpt_at <> max_int
 
 (** Request a checkpoint at the first safepoint reached once the
     instruction counter is at least [at].  Safepoints are block entries —
@@ -164,9 +197,9 @@ let ckpt_due t = ckpt_armed t && Int64.compare t.stats.instrs t.ckpt_at >= 0
 let arm_checkpoint t ~at =
   if Int64.compare at 0L < 0 then
     invalid_arg "Interp.arm_checkpoint: negative threshold";
-  t.ckpt_at <- at
+  t.ckpt_at <- Vm.clamp at
 
-let disarm_checkpoint t = t.ckpt_at <- -1L
+let disarm_checkpoint t = t.ckpt_at <- max_int
 
 (** Claim the snapshot produced by the last {!Checkpointed}. *)
 let take_snapshot t =
@@ -183,8 +216,8 @@ let prog_digest t =
     d
 
 (* Assemble the snapshot once the unwind has collected the whole call
-   stack.  Counters are read *after* the unwind, so the threaded engine's
-   [Fun.protect] flush has already landed them. *)
+   stack.  Counters and [sp] are read *after* the unwind, when {!leave}
+   has already written them back. *)
 let finish_capture t (frames : Pvir.Ckpt.frame list) : 'a =
   let snap =
     {
@@ -200,7 +233,7 @@ let finish_capture t (frames : Pvir.Ckpt.frame list) : 'a =
     }
   in
   t.ckpt_snap <- Some snap;
-  t.ckpt_at <- -1L;
+  t.ckpt_at <- max_int;
   raise Checkpointed
 
 type frame = {
@@ -240,25 +273,25 @@ let rec list_drop n l =
   if n <= 0 then l
   else match l with [] -> [] | _ :: tl -> list_drop (n - 1) tl
 
-let rec tw_call t (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
-    Pvir.Value.t option =
-  t.stats.calls <- t.stats.calls + 1;
+let rec tw_call t (c : Aotabi.ctx) (fn : Pvir.Func.t)
+    (args : Pvir.Value.t list) : Pvir.Value.t option =
+  c.calls <- c.calls + 1;
   Option.iter (fun p -> Profile.enter p fn.name) t.profile;
   if List.length args <> List.length fn.params then
     Vm.trap "arity mismatch calling %s" fn.name;
-  let frame = { regs = Array.make fn.next_reg None; fn; fsp = t.sp } in
+  let frame = { regs = Array.make fn.next_reg None; fn; fsp = c.sp } in
   List.iter2 (fun r v -> set_reg frame r v) fn.params args;
   (* shadow stack for the sampler; exceptional unwinds are repaired at
      the public entry points, so no per-call protect is needed *)
   if t.sampler <> None then t.sstack <- fn.name :: t.sstack;
-  let result = exec_block t frame (Pvir.Func.entry fn) in
-  t.sp <- frame.fsp;
+  let result = exec_block t c frame (Pvir.Func.entry fn) in
+  c.sp <- frame.fsp;
   (match t.sstack with
   | _ :: tl when t.sampler <> None -> t.sstack <- tl
   | _ -> ());
   result
 
-and exec_block t frame blk = exec_block_from t frame blk ~ip:0
+and exec_block t c frame blk = exec_block_from t c frame blk ~ip:0
 
 (** Execute [blk] from instruction index [ip] onward (ip > 0 only when
     resuming a snapshot mid-block), then its terminator.  The block entry
@@ -266,39 +299,41 @@ and exec_block t frame blk = exec_block_from t frame blk ~ip:0
     before any of the block's instructions and before the block-end
     dispatch charge — the exact point where all engines' counters
     agree. *)
-and exec_block_from t frame (blk : Pvir.Func.block) ~ip : Pvir.Value.t option =
+and exec_block_from t (c : Aotabi.ctx) frame (blk : Pvir.Func.block) ~ip :
+    Pvir.Value.t option =
   (* sample poll first, then checkpoint poll — both engines keep this
      order, so a block entry that trips both stays deterministic *)
-  if ip = 0 && Int64.compare t.stats.cycles t.sample_at >= 0 then
-    take_sample t frame.fn.Pvir.Func.name blk.label;
+  if ip = 0 && c.cycles >= t.sample_at then
+    take_sample t c frame.fn.Pvir.Func.name blk.label;
   if ckpt_armed t then begin
-    if ip = 0 && ckpt_due t then
+    if ip = 0 && c.instrs >= t.ckpt_at then
       raise (Ckpt_capture (ref [ tw_ckpt_frame frame blk.label 0 None ]));
-    exec_armed t frame blk.label ip (list_drop ip blk.instrs)
+    exec_armed t c frame blk.label ip (list_drop ip blk.instrs)
   end
   else
-    List.iter (exec_instr t frame)
+    List.iter (exec_instr t c frame)
       (if ip = 0 then blk.instrs else list_drop ip blk.instrs);
-  charge t t.dispatch_cost;
+  charge c Decode.dispatch_cost;
   Option.iter
     (fun p -> Profile.block p frame.fn.name blk.label)
     t.profile;
   match blk.term with
-  | Pvir.Instr.Br l -> exec_block t frame (Pvir.Func.find_block frame.fn l)
-  | Pvir.Instr.Cbr (c, l1, l2) ->
-    let target = if Pvir.Value.to_bool (reg_value frame c) then l1 else l2 in
-    exec_block t frame (Pvir.Func.find_block frame.fn target)
+  | Pvir.Instr.Br l -> exec_block t c frame (Pvir.Func.find_block frame.fn l)
+  | Pvir.Instr.Cbr (r, l1, l2) ->
+    let target = if Pvir.Value.to_bool (reg_value frame r) then l1 else l2 in
+    exec_block t c frame (Pvir.Func.find_block frame.fn target)
   | Pvir.Instr.Ret None -> None
   | Pvir.Instr.Ret (Some r) -> Some (reg_value frame r)
 
-and exec_instr t frame (i : Pvir.Instr.t) : unit =
+and exec_instr t (c : Aotabi.ctx) frame (i : Pvir.Instr.t) : unit =
   let v = reg_value frame in
   let lanes_of r = Pvir.Types.lanes (Pvir.Value.ty (v r)) in
   (match i with
-  | Pvir.Instr.Binop (_, _, a, _) -> charge t (t.dispatch_cost + lanes_of a)
+  | Pvir.Instr.Binop (_, _, a, _) ->
+    charge c (Decode.dispatch_cost + lanes_of a)
   | Pvir.Instr.Load (ty, _, _, _) | Pvir.Instr.Store (ty, _, _, _) ->
-    charge t (t.dispatch_cost + Pvir.Types.lanes ty)
-  | _ -> charge t (t.dispatch_cost + 1));
+    charge c (Decode.dispatch_cost + Pvir.Types.lanes ty)
+  | _ -> charge c (Decode.dispatch_cost + 1));
   match i with
   | Pvir.Instr.Const (d, value) -> set_reg frame d value
   | Pvir.Instr.Mov (d, a) -> set_reg frame d (v a)
@@ -313,8 +348,8 @@ and exec_instr t frame (i : Pvir.Instr.t) : unit =
     set_reg frame d (Pvir.Eval.conv kind dst_ty (v a))
   | Pvir.Instr.Cmp (op, d, a, b) ->
     set_reg frame d (Pvir.Eval.cmp op (v a) (v b))
-  | Pvir.Instr.Select (d, c, a, b) ->
-    set_reg frame d (Pvir.Eval.select (v c) (v a) (v b))
+  | Pvir.Instr.Select (d, cond, a, b) ->
+    set_reg frame d (Pvir.Eval.select (v cond) (v a) (v b))
   | Pvir.Instr.Load (ty, d, base, off) ->
     let addr = Int64.to_int (Pvir.Value.to_int64 (v base)) + off in
     set_reg frame d (Memory.load t.img.mem addr ty)
@@ -322,14 +357,14 @@ and exec_instr t frame (i : Pvir.Instr.t) : unit =
     let addr = Int64.to_int (Pvir.Value.to_int64 (v base)) + off in
     Memory.store t.img.mem addr (v src)
   | Pvir.Instr.Alloca (d, bytes) ->
-    t.sp <- t.sp - bytes;
-    if t.sp < t.img.layout.globals_end then Vm.trap "stack overflow";
-    set_reg frame d (Pvir.Value.i64 (Int64.of_int t.sp))
+    c.sp <- c.sp - bytes;
+    if c.sp < c.globals_end then Vm.trap "stack overflow";
+    set_reg frame d (Pvir.Value.i64 (Int64.of_int c.sp))
   | Pvir.Instr.Call (d, name, args) -> (
     let argv = List.map v args in
     let result =
       match Image.find_func t.img name with
-      | Some callee -> tw_call t callee argv
+      | Some callee -> tw_call t c callee argv
       | None -> Vm.intrinsic t.out name argv
     in
     match (d, result) with
@@ -354,53 +389,17 @@ and exec_instr t frame (i : Pvir.Instr.t) : unit =
    activation trips its own block-entry safepoint).  [ip - 1] then names
    the pending call, which is what resume needs to re-inject its
    result. *)
-and exec_armed t frame label i = function
+and exec_armed t c frame label i = function
   | [] -> ()
   | ins :: tl ->
-    (try exec_instr t frame ins
+    (try exec_instr t c frame ins
      with Ckpt_capture frames ->
        let dst = match ins with Pvir.Instr.Call (d, _, _) -> d | _ -> None in
        frames := !frames @ [ tw_ckpt_frame frame label (i + 1) dst ];
        raise (Ckpt_capture frames));
-    exec_armed t frame label (i + 1) tl
+    exec_armed t c frame label (i + 1) tl
 
 (* ---------------- direct-threaded engine ---------------- *)
-
-(* Unboxed cycle/instruction counters for one [run]/[call] activation.
-   The seed engine pays two boxed Int64 updates per executed instruction;
-   here counters are plain ints, flushed back into [stats] when the
-   activation ends (normally or by exception). *)
-type ectx = {
-  mutable ecycles : int;
-  mutable einstrs : int;
-  efuel : int;
-  eckpt : int;
-      (** unboxed checkpoint threshold: [max_int] while unarmed, so the
-          per-block safepoint poll is a single int compare that never
-          fires on the fast path *)
-  mutable esample : int;
-      (** unboxed sampling threshold against [ecycles], same discipline
-          as [eckpt]; mutable because it re-arms after every sample *)
-}
-
-let ectx_of t =
-  {
-    ecycles = Int64.to_int t.stats.cycles;
-    einstrs = Int64.to_int t.stats.instrs;
-    efuel = Vm.clamp t.fuel;
-    eckpt = (if ckpt_armed t then Vm.clamp t.ckpt_at else max_int);
-    esample = Vm.clamp t.sample_at;
-  }
-
-let flush_ectx t ec =
-  t.stats.cycles <- Int64.of_int ec.ecycles;
-  t.stats.instrs <- Int64.of_int ec.einstrs
-
-let dcharge ec n =
-  ec.ecycles <- ec.ecycles + n;
-  ec.einstrs <- ec.einstrs + 1;
-  if ec.einstrs > ec.efuel then
-    raise (Vm.Trap fuel_exhausted_msg)
 
 (* Registers of the threaded engine live in a plain [Value.t array]; an
    unwritten slot holds {!Vm.uninit}. *)
@@ -461,13 +460,13 @@ let decoded t (fn : Pvir.Func.t) : Decode.dfunc =
   match Hashtbl.find_opt t.dcache fn.Pvir.Func.name with
   | Some df when df.Decode.dsrc == fn -> df
   | _ ->
-    let df = Decode.func ~dispatch_cost:t.dispatch_cost ~img:t.img fn in
+    let df = Decode.func ~img:t.img fn in
     Hashtbl.replace t.dcache fn.Pvir.Func.name df;
     df
 
-let rec dcall t ec (df : Decode.dfunc) (args : Pvir.Value.t list) :
-    Pvir.Value.t option =
-  t.stats.calls <- t.stats.calls + 1;
+let rec dcall t (c : Aotabi.ctx) (df : Decode.dfunc)
+    (args : Pvir.Value.t list) : Pvir.Value.t option =
+  c.calls <- c.calls + 1;
   Option.iter (fun p -> Profile.enter p df.Decode.dname) t.profile;
   if List.length args <> df.Decode.dnparams then
     Vm.trap "arity mismatch calling %s" df.Decode.dname;
@@ -475,7 +474,7 @@ let rec dcall t ec (df : Decode.dfunc) (args : Pvir.Value.t list) :
     {
       dregs = Array.make df.Decode.dnext_reg Vm.uninit;
       dfn = df.Decode.dsrc;
-      dsp = t.sp;
+      dsp = c.sp;
     }
   in
   List.iter2 (fun r v -> dset frame r v) df.Decode.dparams args;
@@ -483,102 +482,98 @@ let rec dcall t ec (df : Decode.dfunc) (args : Pvir.Value.t list) :
     invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" df.Decode.dname);
   (* shadow stack for the sampler, mirroring [tw_call] *)
   if t.sampler <> None then t.sstack <- df.Decode.dname :: t.sstack;
-  let result = dexec_block t ec df frame 0 in
-  t.sp <- frame.dsp;
+  let result = dexec_block t c df frame 0 in
+  c.sp <- frame.dsp;
   (match t.sstack with
   | _ :: tl when t.sampler <> None -> t.sstack <- tl
   | _ -> ());
   result
 
-and dexec_block t ec df frame idx = dexec_block_from t ec df frame idx ~ip:0
+and dexec_block t c df frame idx = dexec_block_from t c df frame idx ~ip:0
 
 (** Same contract as the tree-walker's [exec_block_from]: block entry
     ([ip = 0]) is the safepoint; [ip > 0] only when resuming a snapshot
     mid-block. *)
-and dexec_block_from t ec (df : Decode.dfunc) frame idx ~ip :
+and dexec_block_from t (c : Aotabi.ctx) (df : Decode.dfunc) frame idx ~ip :
     Pvir.Value.t option =
   let blk = df.Decode.dblocks.(idx) in
   let insts = blk.Decode.dinstrs in
   (* sample poll first, then checkpoint poll — the tree-walker's order.
-     Sampling flushes the unboxed counters (so the sampler sees the
-     canonical Int64 cycle count) but never forces the armed
-     per-instruction loop: samples only fire at block entries. *)
-  if ip = 0 && ec.ecycles >= ec.esample then begin
-    flush_ectx t ec;
-    take_sample t df.Decode.dname blk.Decode.dlabel;
-    ec.esample <- Vm.clamp t.sample_at
-  end;
-  if ip = 0 && ec.einstrs >= ec.eckpt then
+     Samples only fire at block entries, so sampling never forces the
+     armed per-instruction loop. *)
+  if ip = 0 && c.cycles >= t.sample_at then
+    take_sample t c df.Decode.dname blk.Decode.dlabel;
+  if ip = 0 && c.instrs >= t.ckpt_at then
     raise (Ckpt_capture (ref [ d_ckpt_frame frame blk.Decode.dlabel 0 None ]));
-  if ec.eckpt = max_int then
+  if t.ckpt_at = max_int then
     for i = ip to Array.length insts - 1 do
-      dexec_instr t ec frame (Array.unsafe_get insts i)
+      dexec_instr t c frame (Array.unsafe_get insts i)
     done
-  else dexec_armed t ec frame blk.Decode.dlabel insts ip;
-  dcharge ec t.dispatch_cost;
+  else dexec_armed t c frame blk.Decode.dlabel insts ip;
+  charge c Decode.dispatch_cost;
   (match t.profile with
   | Some p -> Profile.block p df.Decode.dname blk.Decode.dlabel
   | None -> ());
   match blk.Decode.dterm with
-  | Decode.DBr j -> dexec_block t ec df frame j
-  | Decode.DCbr (c, j1, j2) ->
-    dexec_block t ec df frame (if dbool frame c then j1 else j2)
+  | Decode.DBr j -> dexec_block t c df frame j
+  | Decode.DCbr (r, j1, j2) ->
+    dexec_block t c df frame (if dbool frame r then j1 else j2)
   | Decode.DRet None -> None
   | Decode.DRet (Some r) -> Some (dreg frame r)
 
-and dexec_instr t ec frame (i : Decode.dinstr) : unit =
+and dexec_instr t (c : Aotabi.ctx) frame (i : Decode.dinstr) : unit =
   match i with
   | Decode.DConst { cost; d; v } ->
-    dcharge ec cost;
+    charge c cost;
     dset frame d v
   | Decode.DMov { cost; d; a } ->
-    dcharge ec cost;
+    charge c cost;
     dset frame d (dreg frame a)
   | Decode.DGaddr { cost; d; v } ->
-    dcharge ec cost;
+    charge c cost;
     dset frame d v
   | Decode.DBinop { cost; f; d; a; b } -> (
     (* read [a] before charging, as the tree-walker's cost computation
        does: an uninitialized operand must trap before the charge lands *)
     let va = dreg frame a in
-    dcharge ec cost;
+    charge c cost;
     let vb = dreg frame b in
     try dset frame d (f va vb)
     with Pvir.Eval.Division_by_zero -> Vm.trap "division by zero")
   | Decode.DUnop { cost; op; d; a } ->
-    dcharge ec cost;
+    charge c cost;
     dset frame d (Pvir.Eval.unop op (dreg frame a))
   | Decode.DConv { cost; f; d; a } ->
-    dcharge ec cost;
+    charge c cost;
     dset frame d (f (dreg frame a))
   | Decode.DCmp { cost; f; d; a; b } ->
-    dcharge ec cost;
+    charge c cost;
     (* operand reads in the tree-walker's (right-to-left) order, so that
        multi-operand uninitialized reads trap on the same register *)
     let vb = dreg frame b in
     let va = dreg frame a in
     dset frame d (f va vb)
-  | Decode.DSelect { cost; d; c; a; b } ->
-    dcharge ec cost;
+  | Decode.DSelect { cost; d; c = cond; a; b } ->
+    charge c cost;
     let vb = dreg frame b in
     let va = dreg frame a in
-    let vc = dreg frame c in
+    let vc = dreg frame cond in
     dset frame d (Pvir.Eval.select vc va vb)
   | Decode.DLoad { cost; ty; size; d; base; off } ->
-    dcharge ec cost;
+    charge c cost;
     let addr = daddr frame base + off in
     dset frame d (Memory.load_sized t.img.mem addr size ty)
   | Decode.DStore { cost; src; base; off } ->
-    dcharge ec cost;
+    charge c cost;
     let addr = daddr frame base + off in
     Memory.store t.img.mem addr (dreg frame src)
   | Decode.DAlloca { cost; d; bytes } ->
-    dcharge ec cost;
-    t.sp <- t.sp - bytes;
-    if t.sp < t.img.layout.globals_end then Vm.trap "stack overflow";
-    dset frame d (Pvir.Value.i64 (Int64.of_int t.sp))
+    charge c cost;
+    c.sp <- c.sp - bytes;
+    if c.sp < c.globals_end then Vm.trap "stack overflow";
+    dset frame d (Pvir.Value.i64 (Int64.of_int c.sp))
   | Decode.DCall { cost; d; name; callee; args } -> (
-    dcharge ec cost;
+    charge c cost;
     (* left-to-right, like the tree-walker's [List.map] *)
     let n = Array.length args in
     let rec argv i =
@@ -590,7 +585,7 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
     let argv = argv 0 in
     let result =
       match callee with
-      | Some fn -> dcall t ec (decoded t fn) argv
+      | Some fn -> dcall t c (decoded t fn) argv
       | None -> Vm.intrinsic t.out name argv
     in
     match (d, result) with
@@ -598,58 +593,62 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
     | Some d, Some r -> dset frame d r
     | Some _, None -> Vm.trap "call to %s produced no value" name)
   | Decode.DSplat { cost; d; a; n } ->
-    dcharge ec cost;
+    charge c cost;
     dset frame d (Pvir.Eval.splat n (dreg frame a))
   | Decode.DExtract { cost; d; a; lane } ->
-    dcharge ec cost;
+    charge c cost;
     dset frame d (Pvir.Eval.extract (dreg frame a) lane)
   | Decode.DReduce { cost; op; d; a } ->
-    dcharge ec cost;
+    charge c cost;
     dset frame d (Pvir.Eval.reduce op (dreg frame a))
 
 (* Armed counterpart of the unsafe-indexed fast loop (the tree-walker's
    [exec_armed], in flat-array form). *)
-and dexec_armed t ec frame label (insts : Decode.dinstr array) i =
+and dexec_armed t c frame label (insts : Decode.dinstr array) i =
   if i < Array.length insts then begin
     (let ins = Array.unsafe_get insts i in
-     try dexec_instr t ec frame ins
+     try dexec_instr t c frame ins
      with Ckpt_capture frames ->
        let dst = match ins with Decode.DCall { d; _ } -> d | _ -> None in
        frames := !frames @ [ d_ckpt_frame frame label (i + 1) dst ];
        raise (Ckpt_capture frames));
-    dexec_armed t ec frame label insts (i + 1)
+    dexec_armed t c frame label insts (i + 1)
   end
 
 (* ---------------- public entry points ---------------- *)
 
-let threaded_call t (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
+(** The threaded engine on an entered context. *)
+let threaded t c (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
-  let ec = ectx_of t in
-  Fun.protect
-    ~finally:(fun () -> flush_ectx t ec)
-    (fun () -> dcall t ec (decoded t fn) args)
+  dcall t c (decoded t fn) args
 
 (** Inversion point for the AOT backend (lib/pvaot): [Pvaot.install]
     replaces this hook with a runner that looks up (or builds) compiled
-    code for the image and falls back to {!threaded_call} whenever the
-    program, the arguments or the host toolchain are outside what the
-    code generator supports.  The default is the threaded engine itself,
-    so selecting [Aot] without the backend installed degrades silently to
-    identical observable behaviour. *)
-let aot_hook : (t -> Pvir.Func.t -> Pvir.Value.t list -> Pvir.Value.t option) ref
-    =
-  ref (fun t fn args -> threaded_call t fn args)
+    code for the image and runs it on the activation's context, falling
+    back to {!threaded} on the same context whenever the program, the
+    arguments or the host toolchain are outside what the code generator
+    supports.  The default is the threaded engine itself, so selecting
+    [Aot] without the backend installed degrades silently to identical
+    observable behaviour. *)
+let aot_hook :
+    (t -> Aotabi.ctx -> Pvir.Func.t -> Pvir.Value.t list -> Pvir.Value.t option)
+    ref =
+  ref threaded
 
 let call_untraced t (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
   (* an exceptional unwind (trap, checkpoint) skips the per-call shadow
      stack pops; one restore here keeps the sampler's stack honest *)
   let saved_stack = t.sstack in
+  let c = enter t in
   try
-    match t.engine with
-    | Tree_walk -> tw_call t fn args
-    | Threaded -> threaded_call t fn args
-    | Aot -> !aot_hook t fn args
+    Fun.protect
+      ~finally:(fun () -> leave t c)
+      (fun () ->
+        match t.engine with
+        | Tree_walk -> tw_call t c fn args
+        | Threaded -> threaded t c fn args
+        | Aot -> !aot_hook t c fn args)
   with
   | Ckpt_capture frames ->
     t.sstack <- saved_stack;
@@ -694,8 +693,8 @@ let inject_of (nf : Pvir.Ckpt.frame) callee_name result =
 (* [run_frame f inject] is the engine's step: rebuild frame [f] in its
    own form, write the pending call's result, run from
    [(ck_block, ck_ip)] and return the frame's result. *)
-let rec resume_with t run_frame inject (frames : Pvir.Ckpt.frame list) :
-    Pvir.Value.t option =
+let rec resume_with t (c : Aotabi.ctx) run_frame inject
+    (frames : Pvir.Ckpt.frame list) : Pvir.Value.t option =
   match frames with
   | [] -> invalid_arg "Interp.resume: empty frame stack"
   | f :: rest ->
@@ -705,16 +704,16 @@ let rec resume_with t run_frame inject (frames : Pvir.Ckpt.frame list) :
         captured := !captured @ rest;
         raise (Ckpt_capture captured)
     in
-    t.sp <- f.Pvir.Ckpt.ck_sp;
+    c.sp <- f.Pvir.Ckpt.ck_sp;
     (match t.sstack with
     | _ :: tl when t.sampler <> None -> t.sstack <- tl
     | _ -> ());
     (match rest with
     | [] -> result
     | nf :: _ ->
-      resume_with t run_frame (inject_of nf f.Pvir.Ckpt.ck_fn result) rest)
+      resume_with t c run_frame (inject_of nf f.Pvir.Ckpt.ck_fn result) rest)
 
-let tw_run_frame t (f : Pvir.Ckpt.frame) inject =
+let tw_run_frame t c (f : Pvir.Ckpt.frame) inject =
   let fn = Option.get (Image.find_func t.img f.Pvir.Ckpt.ck_fn) in
   let frame =
     {
@@ -725,11 +724,11 @@ let tw_run_frame t (f : Pvir.Ckpt.frame) inject =
   in
   List.iter (fun (r, v) -> set_reg frame r v) f.Pvir.Ckpt.ck_regs;
   Option.iter (fun (d, v) -> set_reg frame d v) inject;
-  exec_block_from t frame
+  exec_block_from t c frame
     (Pvir.Func.find_block fn f.Pvir.Ckpt.ck_block)
     ~ip:f.Pvir.Ckpt.ck_ip
 
-let d_run_frame t ec (f : Pvir.Ckpt.frame) inject =
+let d_run_frame t c (f : Pvir.Ckpt.frame) inject =
   let fn = Option.get (Image.find_func t.img f.Pvir.Ckpt.ck_fn) in
   let df = decoded t fn in
   let frame =
@@ -747,7 +746,7 @@ let d_run_frame t ec (f : Pvir.Ckpt.frame) inject =
     else if df.Decode.dblocks.(i).Decode.dlabel = f.Pvir.Ckpt.ck_block then i
     else idx (i + 1)
   in
-  dexec_block_from t ec df frame (idx 0) ~ip:f.Pvir.Ckpt.ck_ip
+  dexec_block_from t c df frame (idx 0) ~ip:f.Pvir.Ckpt.ck_ip
 
 (** Resume a restored call stack under the configured engine.  The AOT
     engine resumes through its threaded fallback: compiled activations
@@ -761,15 +760,15 @@ let resume_frames t (frames : Pvir.Ckpt.frame list) : Pvir.Value.t option =
   if t.sampler <> None then
     t.sstack <- List.map (fun f -> f.Pvir.Ckpt.ck_fn) frames;
   let finish_stack () = if t.sampler <> None then t.sstack <- [] in
+  let c = enter t in
   try
     let r =
-      match t.engine with
-      | Tree_walk -> resume_with t (tw_run_frame t) None frames
-      | Threaded | Aot ->
-        let ec = ectx_of t in
-        Fun.protect
-          ~finally:(fun () -> flush_ectx t ec)
-          (fun () -> resume_with t (d_run_frame t ec) None frames)
+      Fun.protect
+        ~finally:(fun () -> leave t c)
+        (fun () ->
+          match t.engine with
+          | Tree_walk -> resume_with t c (tw_run_frame t c) None frames
+          | Threaded | Aot -> resume_with t c (d_run_frame t c) None frames)
     in
     finish_stack ();
     r

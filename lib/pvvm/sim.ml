@@ -19,16 +19,19 @@
       with {!Mdecode} into a flat array form (labels → indices, costs
       precomputed, operands resolved, spill slots and virtual registers
       renumbered into arrays) and dispatches over it with an index-driven
-      loop and unboxed cycle counters.  Decoded code lives in the code
-      cache next to its MIR, so re-registering a function with
-      {!add_func} re-decodes it.  Decoding is total on the instruction
-      shapes the JIT emits, so the loop has one case per decoded
-      instruction and no run-time replay of the tree-walker; a malformed
-      shape raises [Invalid_argument] when its function is first
-      decoded.
+      loop.  Decoded code lives in the code cache next to its MIR, so
+      re-registering a function with {!add_func} re-decodes it.
+      Decoding is total on the instruction shapes the JIT emits, so the
+      loop has one case per decoded instruction and no run-time replay
+      of the tree-walker; a malformed shape raises [Invalid_argument]
+      when its function is first decoded.
 
     Like {!Interp}'s, every engine keeps the run contract of {!Vm}: one
-    {!Vm.Trap}, one intrinsic dispatcher, one engine vocabulary. *)
+    {!Vm.Trap}, one intrinsic dispatcher, one engine vocabulary.  And
+    like {!Interp}'s, all three run an activation on one {!Aotabi.ctx}:
+    {!call_untraced} {!enter}s it once, every engine charges cycles,
+    instructions and spill ops and moves [sp] on it, and {!leave} writes
+    it back into [stats] and [sp] when the activation ends. *)
 
 open Pvmach
 
@@ -89,13 +92,44 @@ let add_func t (fn : Mir.func) =
 
 let output t = Buffer.contents t.out
 let cycles t = t.stats.cycles
-let reset_cycles t = t.stats.cycles <- 0L
 
-let charge t n =
-  t.stats.cycles <- Int64.add t.stats.cycles (Int64.of_int n);
-  t.stats.instrs <- Int64.add t.stats.instrs 1L;
-  if Int64.compare t.stats.instrs t.fuel > 0 then
-    Vm.trap "%s" fuel_exhausted_msg
+(* ---------------- the activation context ---------------- *)
+
+let fuel_exn = Vm.Trap fuel_exhausted_msg
+
+(** Seed an activation's context from [t]: counters, [sp] and the fuel
+    budget clamped to an [int].  Only the public entry points enter;
+    activations do not nest. *)
+let enter t : Aotabi.ctx =
+  {
+    Aotabi.mem = t.img.Image.mem;
+    globals_end = t.img.Image.layout.globals_end;
+    sp = t.sp;
+    cycles = Int64.to_int t.stats.cycles;
+    instrs = Int64.to_int t.stats.instrs;
+    spills = Int64.to_int t.stats.spill_ops;
+    calls = 0;
+    fuel = Vm.clamp t.fuel;
+    fuel_exn;
+    out = t.out;
+  }
+
+(** Write an activation's counters and [sp] back into [t], whether it
+    returned or trapped. *)
+let leave t (c : Aotabi.ctx) =
+  t.stats.cycles <- Int64.of_int c.cycles;
+  t.stats.instrs <- Int64.of_int c.instrs;
+  t.stats.spill_ops <- Int64.of_int c.spills;
+  t.sp <- c.sp
+
+(* Charge one instruction of [n] cycles.  Defined here, not shared with
+   {!Interp}: dune's default profile compiles this library [-opaque], so
+   a charge from another module would be an indirect call through that
+   module's block on every instruction. *)
+let charge (c : Aotabi.ctx) n =
+  c.cycles <- c.cycles + n;
+  c.instrs <- c.instrs + 1;
+  if c.instrs > c.fuel then raise c.fuel_exn
 
 (* Register state: physical files per class plus a spill-free virtual
    environment (so pre-RA MIR can be simulated in tests). *)
@@ -153,17 +187,17 @@ type frame = {
 
 (* ---------------- tree-walking engine (reference) ---------------- *)
 
-let rec tw_call t (fn : Mir.func) (args : Pvir.Value.t list) :
-    Pvir.Value.t option =
-  charge t t.machine.Machine.call_cost;
+let rec tw_call t (c : Aotabi.ctx) (fn : Mir.func) (args : Pvir.Value.t list)
+    : Pvir.Value.t option =
+  charge c t.machine.Machine.call_cost;
   let n_reg = List.length fn.mparams in
   if List.length args <> n_reg + List.length fn.marg_slots then
     Vm.trap "arity mismatch calling %s" fn.mname;
-  let saved_sp = t.sp in
-  t.sp <- t.sp - fn.frame_size;
-  if t.sp < t.img.layout.globals_end then Vm.trap "stack overflow in %s" fn.mname;
+  let saved_sp = c.sp in
+  c.sp <- c.sp - fn.frame_size;
+  if c.sp < c.globals_end then Vm.trap "stack overflow in %s" fn.mname;
   let frame =
-    { rf = new_regfile t.machine; fp = t.sp; slots = Hashtbl.create 16; fn }
+    { rf = new_regfile t.machine; fp = c.sp; slots = Hashtbl.create 16; fn }
   in
   (* calling convention: leading args in registers, the rest in the
      callee's argument frame slots *)
@@ -173,28 +207,28 @@ let rec tw_call t (fn : Mir.func) (args : Pvir.Value.t list) :
   List.iter2
     (fun (slot, _) v -> Hashtbl.replace frame.slots slot v)
     fn.marg_slots stack_args;
-  let result = exec_block t frame (Mir.entry fn) in
-  t.sp <- saved_sp;
+  let result = exec_block t c frame (Mir.entry fn) in
+  c.sp <- saved_sp;
   result
 
-and exec_block t frame (blk : Mir.block) : Pvir.Value.t option =
-  List.iter (exec_inst t frame) blk.insts;
-  charge t (Cost.of_term t.machine blk.mterm);
+and exec_block t (c : Aotabi.ctx) frame (blk : Mir.block) : Pvir.Value.t option
+    =
+  List.iter (exec_inst t c frame) blk.insts;
+  charge c (Cost.of_term t.machine blk.mterm);
   match blk.mterm with
-  | Mir.Tbr l -> exec_block t frame (Mir.find_block frame.fn l)
-  | Mir.Tcbr (c, l1, l2) ->
+  | Mir.Tbr l -> exec_block t c frame (Mir.find_block frame.fn l)
+  | Mir.Tcbr (r, l1, l2) ->
     let target =
-      if Pvir.Value.to_bool (get_reg frame.rf c) then l1 else l2
+      if Pvir.Value.to_bool (get_reg frame.rf r) then l1 else l2
     in
-    exec_block t frame (Mir.find_block frame.fn target)
+    exec_block t c frame (Mir.find_block frame.fn target)
   | Mir.Tret None -> None
   | Mir.Tret (Some r) -> Some (get_reg frame.rf r)
 
-and exec_inst t frame (i : Mir.inst) : unit =
-  charge t (Cost.of_inst t.machine i);
+and exec_inst t (c : Aotabi.ctx) frame (i : Mir.inst) : unit =
+  charge c (Cost.of_inst t.machine i);
   (match i.Mir.op with
-  | Mir.Mframe_ld _ | Mir.Mframe_st _ ->
-    t.stats.spill_ops <- Int64.add t.stats.spill_ops 1L
+  | Mir.Mframe_ld _ | Mir.Mframe_st _ -> c.spills <- c.spills + 1
   | _ -> ());
   let rf = frame.rf in
   let v r = get_reg rf r in
@@ -258,7 +292,7 @@ and exec_inst t frame (i : Mir.inst) : unit =
     let argv = List.map v i.srcs in
     let result =
       match Hashtbl.find_opt t.code name with
-      | Some ce -> tw_call t ce.cfn argv
+      | Some ce -> tw_call t c ce.cfn argv
       | None -> Vm.intrinsic t.out name argv
     in
     match (i.dst, result) with
@@ -267,35 +301,6 @@ and exec_inst t frame (i : Mir.inst) : unit =
     | Some _, None -> Vm.trap "call to %s produced no value" name)
 
 (* ---------------- direct-threaded engine ---------------- *)
-
-(* Unboxed cycle/instruction/spill counters for one [run]/[call]
-   activation, flushed back into [stats] when the activation ends
-   (normally or by exception). *)
-type ectx = {
-  mutable scycles : int;
-  mutable sinstrs : int;
-  mutable sspill : int;
-  sfuel : int;
-}
-
-let ectx_of t =
-  {
-    scycles = Int64.to_int t.stats.cycles;
-    sinstrs = Int64.to_int t.stats.instrs;
-    sspill = Int64.to_int t.stats.spill_ops;
-    sfuel = Vm.clamp t.fuel;
-  }
-
-let flush_ectx t ec =
-  t.stats.cycles <- Int64.of_int ec.scycles;
-  t.stats.instrs <- Int64.of_int ec.sinstrs;
-  t.stats.spill_ops <- Int64.of_int ec.sspill
-
-let scharge ec n =
-  ec.scycles <- ec.scycles + n;
-  ec.sinstrs <- ec.sinstrs + 1;
-  if ec.sinstrs > ec.sfuel then
-    raise (Vm.Trap fuel_exhausted_msg)
 
 (* Frames of the threaded engine: virtual registers and spill slots in
    plain arrays (indexed by {!Mdecode}'s dense renumbering); an unwritten
@@ -361,15 +366,15 @@ let decoded t (ce : centry) : Mdecode.dfunc =
     ce.cdec <- Some df;
     df
 
-let rec scall t ec (df : Mdecode.dfunc) (args : Pvir.Value.t list) :
-    Pvir.Value.t option =
-  scharge ec t.machine.Machine.call_cost;
+let rec scall t (c : Aotabi.ctx) (df : Mdecode.dfunc)
+    (args : Pvir.Value.t list) : Pvir.Value.t option =
+  charge c t.machine.Machine.call_cost;
   let n_reg = df.Mdecode.snreg in
   if List.length args <> n_reg + Array.length df.Mdecode.sarg_idx then
     Vm.trap "arity mismatch calling %s" df.Mdecode.sname;
-  let saved_sp = t.sp in
-  t.sp <- t.sp - df.Mdecode.sframe_size;
-  if t.sp < t.img.layout.globals_end then
+  let saved_sp = c.sp in
+  c.sp <- c.sp - df.Mdecode.sframe_size;
+  if c.sp < c.globals_end then
     Vm.trap "stack overflow in %s" df.Mdecode.sname;
   let frame =
     {
@@ -378,7 +383,7 @@ let rec scall t ec (df : Mdecode.dfunc) (args : Pvir.Value.t list) :
       svec = Array.make (max 1 t.machine.Machine.vec_regs) Vm.uninit;
       svirt = Array.make df.Mdecode.snvirt Vm.uninit;
       sslots = Array.make df.Mdecode.snslots Vm.uninit;
-      sfp = t.sp;
+      sfp = c.sp;
       sdf = df;
     }
   in
@@ -391,39 +396,39 @@ let rec scall t ec (df : Mdecode.dfunc) (args : Pvir.Value.t list) :
   if Array.length df.Mdecode.sblocks = 0 then
     invalid_arg
       (Printf.sprintf "Mir.entry: %s has no blocks" df.Mdecode.sname);
-  let result = sexec_block t ec frame 0 in
-  t.sp <- saved_sp;
+  let result = sexec_block t c frame 0 in
+  c.sp <- saved_sp;
   result
 
-and sexec_block t ec frame idx : Pvir.Value.t option =
+and sexec_block t (c : Aotabi.ctx) frame idx : Pvir.Value.t option =
   let blk = frame.sdf.Mdecode.sblocks.(idx) in
   let insts = blk.Mdecode.dinsts in
   for i = 0 to Array.length insts - 1 do
-    sexec_inst t ec frame (Array.unsafe_get insts i)
+    sexec_inst t c frame (Array.unsafe_get insts i)
   done;
-  scharge ec blk.Mdecode.dtcost;
+  charge c blk.Mdecode.dtcost;
   match blk.Mdecode.dterm with
-  | Mdecode.SBr j -> sexec_block t ec frame j
-  | Mdecode.SCbr (c, j1, j2) ->
+  | Mdecode.SBr j -> sexec_block t c frame j
+  | Mdecode.SCbr (r, j1, j2) ->
     let cond =
-      match sget frame c with
+      match sget frame r with
       | Pvir.Value.Int (_, x) -> x <> 0L
       | v -> Pvir.Value.to_bool v
     in
-    sexec_block t ec frame (if cond then j1 else j2)
+    sexec_block t c frame (if cond then j1 else j2)
   | Mdecode.SRet None -> None
   | Mdecode.SRet (Some r) -> Some (sget frame r)
 
-and sexec_inst t ec frame (i : Mdecode.dinst) : unit =
+and sexec_inst t (c : Aotabi.ctx) frame (i : Mdecode.dinst) : unit =
   match i with
   | Mdecode.SLi { cost; d; v } ->
-    scharge ec cost;
+    charge c cost;
     sset frame d v
   | Mdecode.SMov { cost; d; a } ->
-    scharge ec cost;
+    charge c cost;
     sset frame d (sopnd frame a)
   | Mdecode.SBin { cost; f; d; a; b } -> (
-    scharge ec cost;
+    charge c cost;
     (* operand reads in the tree-walker's (right-to-left) order, so that
        multi-operand uninitialized reads trap on the same register *)
     let vb = sopnd frame b in
@@ -431,57 +436,57 @@ and sexec_inst t ec frame (i : Mdecode.dinst) : unit =
     try sset frame d (f va vb)
     with Pvir.Eval.Division_by_zero -> Vm.trap "division by zero")
   | Mdecode.SUn { cost; op; d; a } ->
-    scharge ec cost;
+    charge c cost;
     sset frame d (Pvir.Eval.unop op (sopnd frame a))
   | Mdecode.SConv { cost; f; d; a } ->
-    scharge ec cost;
+    charge c cost;
     sset frame d (f (sopnd frame a))
   | Mdecode.SCmp { cost; f; d; a; b } ->
-    scharge ec cost;
+    charge c cost;
     let vb = sopnd frame b in
     let va = sopnd frame a in
     sset frame d (f va vb)
-  | Mdecode.SSel { cost; d; c; a; b } ->
-    scharge ec cost;
+  | Mdecode.SSel { cost; d; c = cond; a; b } ->
+    charge c cost;
     let vb = sopnd frame b in
     let va = sopnd frame a in
-    let vc = sopnd frame c in
+    let vc = sopnd frame cond in
     sset frame d (Pvir.Eval.select vc va vb)
   | Mdecode.SLoad { cost; ty; size; d; base; off } ->
-    scharge ec cost;
+    charge c cost;
     let addr = saddr (sopnd frame base) + off in
     sset frame d (Memory.load_sized t.img.mem addr size ty)
   | Mdecode.SStore { cost; value; base; off } ->
-    scharge ec cost;
+    charge c cost;
     let vbase = sget frame base in
     let v = sopnd frame value in
     let addr = saddr vbase + off in
     Memory.store t.img.mem addr v
   | Mdecode.SFrameAddr { cost; d; off } ->
-    scharge ec cost;
+    charge c cost;
     sset frame d (Pvir.Value.i64 (Int64.of_int (frame.sfp + off)))
   | Mdecode.SFrameLd { cost; d; idx; slot } ->
-    scharge ec cost;
-    ec.sspill <- ec.sspill + 1;
+    charge c cost;
+    c.spills <- c.spills + 1;
     let value = Array.unsafe_get frame.sslots idx in
     if value == Vm.uninit then
       Vm.trap "reload of empty spill slot %d in %s" slot frame.sdf.Mdecode.sname
     else sset frame d value
   | Mdecode.SFrameSt { cost; idx; src } ->
-    scharge ec cost;
-    ec.sspill <- ec.sspill + 1;
+    charge c cost;
+    c.spills <- c.spills + 1;
     Array.unsafe_set frame.sslots idx (sopnd frame src)
   | Mdecode.SSplat { cost; d; a; n } ->
-    scharge ec cost;
+    charge c cost;
     sset frame d (Pvir.Eval.splat n (sopnd frame a))
   | Mdecode.SExtract { cost; d; a; lane } ->
-    scharge ec cost;
+    charge c cost;
     sset frame d (Pvir.Eval.extract (sopnd frame a) lane)
   | Mdecode.SReduce { cost; op; d; a } ->
-    scharge ec cost;
+    charge c cost;
     sset frame d (Pvir.Eval.reduce op (sopnd frame a))
   | Mdecode.SCall { cost; d; name; srcs } -> (
-    scharge ec cost;
+    charge c cost;
     (* left-to-right, like the tree-walker's [List.map] *)
     let n = Array.length srcs in
     let rec argv i =
@@ -493,7 +498,7 @@ and sexec_inst t ec frame (i : Mdecode.dinst) : unit =
     let argv = argv 0 in
     let result =
       match Hashtbl.find_opt t.code name with
-      | Some ce -> scall t ec (decoded t ce) argv
+      | Some ce -> scall t c (decoded t ce) argv
       | None -> Vm.intrinsic t.out name argv
     in
     match (d, result) with
@@ -503,32 +508,38 @@ and sexec_inst t ec frame (i : Mdecode.dinst) : unit =
 
 (* ---------------- public entry points ---------------- *)
 
-let threaded_call t (fn : Mir.func) (args : Pvir.Value.t list) :
+(** The threaded engine on an entered context.  A function not in the
+    code cache is decoded on the fly (uncached). *)
+let threaded t c (fn : Mir.func) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
   let df =
     match Hashtbl.find_opt t.code fn.Mir.mname with
     | Some ce when ce.cfn == fn -> decoded t ce
     | _ -> Mdecode.func ~machine:t.machine fn
   in
-  let ec = ectx_of t in
-  Fun.protect
-    ~finally:(fun () -> flush_ectx t ec)
-    (fun () -> scall t ec df args)
+  scall t c df args
 
 (** Inversion point for the AOT backend (lib/pvaot): [Pvaot.install]
     replaces this hook with a runner that compiles the code cache to a
-    native plugin and falls back to {!threaded_call} when that is not
-    possible.  Default: the threaded engine itself, so [Aot] without the
-    backend installed degrades silently to identical behaviour. *)
-let aot_hook : (t -> Mir.func -> Pvir.Value.t list -> Pvir.Value.t option) ref =
-  ref (fun t fn args -> threaded_call t fn args)
+    native plugin and runs it on the activation's context, falling back
+    to {!threaded} on the same context when that is not possible.
+    Default: the threaded engine itself, so [Aot] without the backend
+    installed degrades silently to identical behaviour. *)
+let aot_hook :
+    (t -> Aotabi.ctx -> Mir.func -> Pvir.Value.t list -> Pvir.Value.t option)
+    ref =
+  ref threaded
 
 let call_untraced t (fn : Mir.func) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
-  match t.engine with
-  | Tree_walk -> tw_call t fn args
-  | Threaded -> threaded_call t fn args
-  | Aot -> !aot_hook t fn args
+  let c = enter t in
+  Fun.protect
+    ~finally:(fun () -> leave t c)
+    (fun () ->
+      match t.engine with
+      | Tree_walk -> tw_call t c fn args
+      | Threaded -> threaded t c fn args
+      | Aot -> !aot_hook t c fn args)
 
 (* one {!Vm.span} per top-level activation *)
 let traced t name f =

@@ -138,15 +138,14 @@ let resume (t : Interp.t) (snap : Pvir.Ckpt.t) : Pvir.Value.t option =
 
 (** Create an interpreter that [snap] validates against: same memory
     size the snapshot was taken under, fuel budget reconstructed from
-    the snapshot's consumed + remaining fuel.  [dispatch_cost] must match
-    the capturing VM's (it is host configuration, not captured state). *)
-let interp_for ?dispatch_cost ?(engine = Interp.Threaded) ?tr
-    (prog : Pvir.Prog.t) (snap : Pvir.Ckpt.t) : Interp.t =
+    the snapshot's consumed + remaining fuel. *)
+let interp_for ?(engine = Interp.Threaded) ?tr (prog : Pvir.Prog.t)
+    (snap : Pvir.Ckpt.t) : Interp.t =
   let img =
     Image.load ~mem_size:(String.length snap.ck_mem) prog
   in
   let fuel = Int64.add snap.ck_instrs snap.ck_fuel in
-  Interp.create ?dispatch_cost ~fuel ~engine ?tr img
+  Interp.create ~fuel ~engine ?tr img
 
 (** Outcome of an execution that may checkpoint. *)
 type outcome =

@@ -344,9 +344,7 @@ let test_annot_cache_key () =
     (Pvir.Pp.program_to_string p1)
     (Pvir.Pp.program_to_string p2);
   let digest p =
-    let d, _, _ =
-      Pvaot.Interp_gen.generate (Pvvm.Image.load p) ~dispatch_cost:1
-    in
+    let d, _, _ = Pvaot.Interp_gen.generate (Pvvm.Image.load p) in
     d
   in
   Alcotest.(check bool) "cache digests differ for annotation-only change"

@@ -4,12 +4,14 @@
    The pre-decode pass in Pvvm.Decode/Pvvm.Mdecode must be invisible:
    for any program, the threaded interpreter and simulator must produce
    the same result, the same printed output, the *exact* same
-   cycle/instruction (and, for the simulator, spill-op) counts, and the
-   same trap message at the same point as the tree-walkers.  Random
-   programs cover the well-formed path; hand-built functions cover the
-   run-time traps the frontend never emits.  Decoding is total on
-   verified PVIR and on well-shaped MIR: code that is neither is refused
-   with [Invalid_argument] when it is decoded, never replayed through a
+   cycle/instruction (and calls for the interpreter, spill ops for the
+   simulator) counts, the same stack pointer, and the same trap message
+   at the same point as the tree-walkers.  Random programs cover the
+   well-formed path; hand-built functions cover the run-time traps the
+   frontend never emits, and a trap two frames deep is checked on all
+   three engines, AOT included.  Decoding is total on verified PVIR and
+   on well-shaped MIR: code that is neither is refused with
+   [Invalid_argument] when it is decoded, never replayed through a
    tree-walker. *)
 
 let seeded_test ?(count = 100) name gen prop =
@@ -130,64 +132,102 @@ let rloop_arb = QCheck.make rloop_gen ~print:(fun s -> s)
 
 (* ---------------- observations ---------------- *)
 
-(* Everything the engines must agree on, including the trap message when
-   execution traps. *)
-type 'a outcome = Value of 'a | Trapped of string
+(* Everything the engines must agree on: the result or the trap message,
+   the printed output, every counter, and the stack pointer the run
+   leaves behind — after a trap too, when no frame has been popped. *)
+type outcome = Value of Pvir.Value.t option | Trapped of string
+
+let same_outcome a b =
+  match (a, b) with
+  | Value (Some a), Value (Some b) -> Pvir.Value.equal a b
+  | Value None, Value None -> true
+  | Trapped a, Trapped b -> String.equal a b
+  | _ -> false
+
+let outcome_of run =
+  match run () with v -> Value v | exception Pvvm.Vm.Trap m -> Trapped m
+
+type interp_obs = {
+  ir : outcome;
+  iout : string;
+  icycles : int64;
+  iinstrs : int64;
+  icalls : int;
+  isp : int;
+}
+
+(* Run [name] with [args] on an existing interpreter and observe what the
+   VM holds afterwards (counters and output are cumulative). *)
+let interp_run it name args =
+  let ir = outcome_of (fun () -> Pvvm.Interp.run it name args) in
+  let st = it.Pvvm.Interp.stats in
+  {
+    ir;
+    iout = Pvvm.Interp.output it;
+    icycles = st.Pvvm.Interp.cycles;
+    iinstrs = st.Pvvm.Interp.instrs;
+    icalls = st.Pvvm.Interp.calls;
+    isp = it.Pvvm.Interp.sp;
+  }
+
+let interp_obs_equal a b =
+  same_outcome a.ir b.ir && String.equal a.iout b.iout
+  && Int64.equal a.icycles b.icycles
+  && Int64.equal a.iinstrs b.iinstrs
+  && a.icalls = b.icalls && a.isp = b.isp
 
 let run_interp ~engine src =
-  let p = Core.Splitc.frontend src in
-  let img = Pvvm.Image.load p in
-  let it = Pvvm.Interp.create ~engine img in
-  let r =
-    match Pvvm.Interp.run it "main" [] with
-    | v -> Value v
-    | exception Pvvm.Vm.Trap m -> Trapped m
+  let it =
+    Pvvm.Interp.create ~engine (Pvvm.Image.load (Core.Splitc.frontend src))
   in
-  ( r,
-    Pvvm.Interp.output it,
-    it.Pvvm.Interp.stats.Pvvm.Interp.cycles,
-    it.Pvvm.Interp.stats.Pvvm.Interp.instrs )
+  interp_run it "main" []
 
 let interp_agree src =
-  let r0, o0, c0, i0 = run_interp ~engine:Pvvm.Interp.Tree_walk src in
-  let r1, o1, c1, i1 = run_interp ~engine:Pvvm.Interp.Threaded src in
-  let same_r =
-    match (r0, r1) with
-    | Value (Some a), Value (Some b) -> Pvir.Value.equal a b
-    | Value None, Value None -> true
-    | Trapped a, Trapped b -> String.equal a b
-    | _ -> false
-  in
-  same_r && String.equal o0 o1 && Int64.equal c0 c1 && Int64.equal i0 i1
+  interp_obs_equal
+    (run_interp ~engine:Pvvm.Interp.Tree_walk src)
+    (run_interp ~engine:Pvvm.Interp.Threaded src)
 
-let run_sim ~engine ~machine src =
+type sim_obs = {
+  sr : outcome;
+  sout : string;
+  scycles : int64;
+  sinstrs : int64;
+  sspills : int64;
+  ssp : int;
+}
+
+let sim_run sim name args =
+  let sr = outcome_of (fun () -> Pvvm.Sim.run sim name args) in
+  let st = sim.Pvvm.Sim.stats in
+  {
+    sr;
+    sout = Pvvm.Sim.output sim;
+    scycles = st.Pvvm.Sim.cycles;
+    sinstrs = st.Pvvm.Sim.instrs;
+    sspills = st.Pvvm.Sim.spill_ops;
+    ssp = sim.Pvvm.Sim.sp;
+  }
+
+let sim_obs_equal a b =
+  same_outcome a.sr b.sr && String.equal a.sout b.sout
+  && Int64.equal a.scycles b.scycles
+  && Int64.equal a.sinstrs b.sinstrs
+  && Int64.equal a.sspills b.sspills
+  && a.ssp = b.ssp
+
+let split_sim ~engine ~machine src =
   let _, on =
     Core.Splitc.run_source ~mode:Core.Splitc.Split ~machine ~engine src
   in
-  let sim = on.Core.Splitc.sim in
-  let r =
-    match Pvvm.Sim.run sim "main" [] with
-    | v -> Value v
-    | exception Pvvm.Vm.Trap m -> Trapped m
-  in
-  ( r,
-    Pvvm.Sim.output sim,
-    sim.Pvvm.Sim.stats.Pvvm.Sim.cycles,
-    sim.Pvvm.Sim.stats.Pvvm.Sim.instrs,
-    sim.Pvvm.Sim.stats.Pvvm.Sim.spill_ops )
+  on.Core.Splitc.sim
+
+let run_sim ~engine ~machine src =
+  sim_run (split_sim ~engine ~machine src) "main" []
 
 let sim_agree ~machine src =
-  let r0, o0, c0, i0, s0 = run_sim ~engine:Pvvm.Sim.Tree_walk ~machine src in
-  let r1, o1, c1, i1, s1 = run_sim ~engine:Pvvm.Sim.Threaded ~machine src in
-  let same_r =
-    match (r0, r1) with
-    | Value (Some a), Value (Some b) -> Pvir.Value.equal a b
-    | Value None, Value None -> true
-    | Trapped a, Trapped b -> String.equal a b
-    | _ -> false
-  in
-  same_r && String.equal o0 o1 && Int64.equal c0 c1 && Int64.equal i0 i1
-  && Int64.equal s0 s1
+  sim_obs_equal
+    (run_sim ~engine:Pvvm.Sim.Tree_walk ~machine src)
+    (run_sim ~engine:Pvvm.Sim.Threaded ~machine src)
 
 let prop_interp_engines_agree src = interp_agree src
 let prop_sim_engines_agree_x86 src = sim_agree ~machine:Pvmach.Machine.x86ish src
@@ -219,14 +259,14 @@ let test_uninitialized_register () =
     b.Pvir.Func.instrs <- [ Pvir.Instr.Binop (Pvir.Instr.Add, d, a, a) ];
     b.Pvir.Func.term <- Pvir.Instr.Ret (Some d);
     Pvir.Prog.add_func p fn;
-    let it = Pvvm.Interp.create ~engine (Pvvm.Image.load p) in
-    match Pvvm.Interp.run it "main" [] with
-    | _ -> Alcotest.fail "uninitialized read did not trap"
-    | exception Pvvm.Vm.Trap m -> m
+    interp_run (Pvvm.Interp.create ~engine (Pvvm.Image.load p)) "main" []
   in
-  let m0 = run Pvvm.Interp.Tree_walk and m1 = run Pvvm.Interp.Threaded in
-  check "same message" true (String.equal m0 m1);
-  check "mentions uninitialized" true (contains_sub m0 "uninitialized register")
+  let o0 = run Pvvm.Interp.Tree_walk and o1 = run Pvvm.Interp.Threaded in
+  check "same message, counters and sp" true (interp_obs_equal o0 o1);
+  match o0.ir with
+  | Trapped m ->
+    check "mentions uninitialized" true (contains_sub m "uninitialized register")
+  | Value _ -> Alcotest.fail "uninitialized read did not trap"
 
 (* A one-block MIR function [name] on x86ish, returning virtual
    register 0, registered in a fresh simulator running [engine]. *)
@@ -269,13 +309,13 @@ let test_empty_spill_slot () =
             Pvir.Types.i64;
         ]
     in
-    match Pvvm.Sim.run sim "spilly" [] with
-    | _ -> Alcotest.fail "empty spill reload did not trap"
-    | exception Pvvm.Vm.Trap m -> m
+    sim_run sim "spilly" []
   in
-  let m0 = run Pvvm.Sim.Tree_walk and m1 = run Pvvm.Sim.Threaded in
-  check "same message" true (String.equal m0 m1);
-  check "mentions spill slot" true (contains_sub m0 "spill slot")
+  let o0 = run Pvvm.Sim.Tree_walk and o1 = run Pvvm.Sim.Threaded in
+  check "same message, counters and sp" true (sim_obs_equal o0 o1);
+  match o0.sr with
+  | Trapped m -> check "mentions spill slot" true (contains_sub m "spill slot")
+  | Value _ -> Alcotest.fail "empty spill reload did not trap"
 
 (* MIR the JIT never emits — here an [Mli] with no destination — is
    refused when it is decoded, under the threaded engine and under AOT
@@ -304,10 +344,9 @@ let test_fuel_exhaustion () =
   let run engine =
     let p = Core.Splitc.frontend "i64 main() { for (;;) { } return 0; }" in
     let it = Pvvm.Interp.create ~engine ~fuel:10_000L (Pvvm.Image.load p) in
-    match Pvvm.Interp.run it "main" [] with
+    match interp_run it "main" [] with
+    | { ir = Trapped m; _ } as o -> (m, o)
     | _ -> Alcotest.fail "infinite loop terminated"
-    | exception Pvvm.Vm.Trap m ->
-      (m, it.Pvvm.Interp.stats.Pvvm.Interp.instrs)
   in
   let runs =
     List.map
@@ -320,12 +359,14 @@ let test_fuel_exhaustion () =
         | Error m -> Alcotest.fail m)
       Pvvm.Vm.engines
   in
-  let m0, i0 = List.hd runs in
+  let m0, o0 = List.hd runs in
+  check "canonical fuel message" true
+    (String.equal m0 Pvvm.Interp.fuel_exhausted_msg);
   List.iter
-    (fun (m, i) ->
-      check "same message" true (String.equal m0 m);
-      (* the trap must fire after the exact same number of instructions *)
-      check "same trap point" true (Int64.equal i0 i))
+    (fun (_, o) ->
+      (* the trap must fire after the exact same number of instructions,
+         and leave the same counters and sp *)
+      check "same trap point and state" true (interp_obs_equal o0 o))
     runs
 
 let test_division_by_zero_parity () =
@@ -333,6 +374,136 @@ let test_division_by_zero_parity () =
   check "interp engines agree on div-by-zero" true (interp_agree src);
   check "sim engines agree on div-by-zero" true
     (sim_agree ~machine:Pvmach.Machine.x86ish src)
+
+(* ---------------- VM state after a trap ---------------- *)
+
+(* [main(z)] calls [f(z)], which calls [g(z)]; each keeps a local array
+   on the stack, and [g]'s loop divides by [z].  A trap two frames deep
+   pops no frame, so [sp] stays below its initial value.  Counters and
+   [sp] reach the VM once, when the activation ends, and every engine
+   must leave the same ones — and a next run on the same VM starts from
+   them. *)
+let nested_src =
+  {|
+i64 g(i64 z) {
+  i64 a[4];
+  i64 s = 0;
+  for (i64 i = 0; i < 400; i++) {
+    a[i & 3] = i;
+    s = s + a[i & 3] / z;
+  }
+  return s;
+}
+i64 f(i64 z) {
+  i64 b[4];
+  b[0] = g(z);
+  b[1] = z;
+  return b[0] + b[1];
+}
+i64 main(i64 z) {
+  i64 c[4];
+  c[0] = f(z);
+  print_i64(c[0]);
+  return c[0] + 1;
+}
+|}
+
+let nested_interp ?fuel engine =
+  Pvvm.Interp.create ?fuel ~engine
+    (Pvvm.Image.load (Core.Splitc.frontend nested_src))
+
+let nested_sim ?fuel ~machine engine =
+  let sim = split_sim ~engine ~machine nested_src in
+  Option.iter (fun f -> sim.Pvvm.Sim.fuel <- f) fuel;
+  sim
+
+(* [main z] for each of [zs], one after another on one VM *)
+let interp_runs ?fuel zs engine =
+  let it = nested_interp ?fuel engine in
+  List.map (fun z -> interp_run it "main" [ Pvir.Value.i64 z ]) zs
+
+let sim_runs ?fuel ~machine zs engine =
+  let sim = nested_sim ?fuel ~machine engine in
+  List.map (fun z -> sim_run sim "main" [ Pvir.Value.i64 z ]) zs
+
+(* Every engine of [Vm.engines] observes, run after run, what the first
+   one does; returns those observations. *)
+let all_agree what equal runs =
+  let obs = List.map (fun e -> (e, runs e)) Pvvm.Vm.engines in
+  let reference = snd (List.hd obs) in
+  List.iter
+    (fun (e, o) ->
+      check
+        (Printf.sprintf "%s: %s leaves the same state" what
+           (Pvvm.Vm.engine_name e))
+        true
+        (List.for_all2 equal reference o))
+    obs;
+  reference
+
+let trapped what msg = function
+  | Trapped m -> check (what ^ " traps with " ^ msg) true (String.equal m msg)
+  | Value _ -> Alcotest.failf "%s did not trap" what
+
+let completed what = function
+  | Value (Some _) -> ()
+  | _ -> Alcotest.failf "%s did not return a value" what
+
+let test_trap_state_interp () =
+  Pvaot.install ();
+  (* a full z = 1 run: the initial sp, and a budget that runs out about
+     halfway through g's loop *)
+  let it = nested_interp Pvvm.Interp.Threaded in
+  let sp0 = it.Pvvm.Interp.sp in
+  let full = interp_run it "main" [ Pvir.Value.i64 1L ] in
+  completed "interp z=1" full.ir;
+  (match all_agree "interp div" interp_obs_equal (interp_runs [ 0L; 1L ]) with
+  | [ t; r ] ->
+    trapped "interp z=0" "division by zero" t.ir;
+    check "interp: main, f and g were called" true (t.icalls = 3);
+    check "interp: the trap popped no frame" true (t.isp < sp0);
+    completed "interp z=1 after the trap" r.ir;
+    check "interp: z=1 returns to the trapped sp" true (r.isp = t.isp)
+  | _ -> assert false);
+  let fuel = Int64.div full.iinstrs 2L in
+  match
+    all_agree "interp fuel" interp_obs_equal (interp_runs ~fuel [ 1L; 1L ])
+  with
+  | [ t; again ] ->
+    trapped "interp fuel" Pvvm.Interp.fuel_exhausted_msg t.ir;
+    check "interp: fuel ran out inside g" true (t.icalls = 3 && t.isp < sp0);
+    trapped "interp rerun" Pvvm.Interp.fuel_exhausted_msg again.ir
+  | _ -> assert false
+
+let test_trap_state_sim () =
+  Pvaot.install ();
+  List.iter
+    (fun (machine : Pvmach.Machine.t) ->
+      let what k = Printf.sprintf "sim %s %s" machine.Pvmach.Machine.name k in
+      let sim = nested_sim ~machine Pvvm.Sim.Threaded in
+      let sp0 = sim.Pvvm.Sim.sp in
+      let full = sim_run sim "main" [ Pvir.Value.i64 1L ] in
+      completed (what "z=1") full.sr;
+      (match
+         all_agree (what "div") sim_obs_equal (sim_runs ~machine [ 0L; 1L ])
+       with
+      | [ t; r ] ->
+        trapped (what "z=0") "division by zero" t.sr;
+        check (what "trap popped no frame") true (t.ssp < sp0);
+        completed (what "z=1 after the trap") r.sr;
+        check (what "z=1 returns to the trapped sp") true (r.ssp = t.ssp)
+      | _ -> assert false);
+      let fuel = Int64.div full.sinstrs 2L in
+      match
+        all_agree (what "fuel") sim_obs_equal
+          (sim_runs ~fuel ~machine [ 1L; 1L ])
+      with
+      | [ t; again ] ->
+        trapped (what "fuel") Pvvm.Sim.fuel_exhausted_msg t.sr;
+        check (what "fuel trap popped no frame") true (t.ssp < sp0);
+        trapped (what "rerun") Pvvm.Sim.fuel_exhausted_msg again.sr
+      | _ -> assert false)
+    [ Pvmach.Machine.x86ish; Pvmach.Machine.uchost ]
 
 (* ---------------- exact kernel cycle parity ---------------- *)
 
@@ -390,6 +561,10 @@ let () =
           Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion;
           Alcotest.test_case "division by zero" `Quick
             test_division_by_zero_parity;
+          Alcotest.test_case "nested trap state (interpreter)" `Quick
+            test_trap_state_interp;
+          Alcotest.test_case "nested trap state (simulator)" `Quick
+            test_trap_state_sim;
         ] );
       ( "kernels",
         [

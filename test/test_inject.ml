@@ -216,9 +216,9 @@ let test_sim_fuel_trap_parity () =
   check bool_t "same trap point" true (Int64.equal i0 i1)
 
 let test_interp_max_fuel_clamp () =
-  (* the threaded engine folds the Int64 budget into a native int
-     ([ectx_of] clamps >= max_int): an unlimited budget must behave as
-     unlimited on both engines, not wrap negative and trap instantly *)
+  (* every engine charges a native-int budget ([Interp.enter] clamps
+     >= max_int): an unlimited budget must behave as unlimited on both
+     engines, not wrap negative and trap instantly *)
   List.iter
     (fun engine ->
       let p = Core.Splitc.frontend "i64 main() { return 41 + 1; }" in
@@ -326,7 +326,8 @@ let test_annot_rejects_land_in_ledger () =
 
 let test_guard_total_on_corrupt_input () =
   match
-    Core.Splitc.online_r ~machine:Pvmach.Machine.x86ish "PVIR garbage here"
+    Core.Splitc.guard (fun () ->
+        Core.Splitc.online ~machine:Pvmach.Machine.x86ish "PVIR garbage here")
   with
   | Error (Core.Splitc.Decode_error _) -> ()
   | Error e ->
