@@ -292,6 +292,7 @@ let check ?(engines = Pvvm.Vm.engines) ?(policies = Sched.all_policies)
                c left expect))
       r.Sched.residual
   in
+  (* the first result, and its streams digest, computed once *)
   let reference = ref None in
   List.iteri
     (fun ei engine ->
@@ -307,13 +308,9 @@ let check ?(engines = Pvvm.Vm.engines) ?(policies = Sched.all_policies)
           | Ok r -> (
             check_invariants path r;
             match !reference with
-            | None -> reference := Some (path, r)
-            | Some (rpath, r0) ->
-              if
-                not
-                  (String.equal (Sched.streams_digest r0)
-                     (Sched.streams_digest r))
-              then begin
+            | None -> reference := Some (path, r, Sched.streams_digest r)
+            | Some (rpath, r0, d0) ->
+              if not (String.equal d0 (Sched.streams_digest r)) then begin
                 (* name the first channel whose stream differs *)
                 let rec first_diff l0 l1 =
                   match (l0, l1) with

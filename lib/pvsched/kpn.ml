@@ -24,34 +24,148 @@ type process = {
   work : int;  (** abstract work per firing (for cost models) *)
 }
 
-type t = {
-  processes : process list;
-  channels : (string, token Queue.t) Hashtbl.t;
+(* The dense net the executors run on.  [create] numbers each channel
+   the first time a process names it and resolves every input and
+   output once; the executors index arrays and hash no name. *)
+type view = {
+  procs : process array;
+  names : string array;
+  queues : token Queue.t array;
+  ins : int array array;
+  outs : int array array;
+  readers : int array;
+  readers_at : int array;
+  producer : int array;
+  first : int array;
+}
+
+(* tables keyed by process or channel name, compared with
+   [String.equal] rather than polymorphic compare *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+type t = { processes : process list; net : net }
+
+and net = {
+  ids : int Names.t;
+      (* the one name table: channel name -> id, in order of first
+         appearance *)
+  mutable dense : view;  (* in identity order *)
 }
 
 exception Deadlock of string
 
-(** Register an empty channel [name] unless [t] already has one. *)
-let add_channel t name =
-  if not (Hashtbl.mem t.channels name) then
-    Hashtbl.add t.channels name (Queue.create ())
+let id t name =
+  match Names.find_opt t.net.ids name with
+  | Some c -> c
+  | None -> invalid_arg (Printf.sprintf "Kpn.channel: no channel %s" name)
+
+(* Per process, the index of the first process of [procs] with its
+   name. *)
+let first_by_name (procs : process array) : int array =
+  let seen = Names.create (Array.length procs) in
+  Array.mapi
+    (fun i p ->
+      match Names.find_opt seen p.pname with
+      | Some g -> g
+      | None ->
+        Names.add seen p.pname i;
+        i)
+    procs
+
+(* The readers of every channel, channel after channel, in process
+   order (count them, then fill each channel's run), and each channel's
+   first producer. *)
+let wire nch (ins : int array array) (outs : int array array) =
+  let readers_at = Array.make (nch + 1) 0 in
+  Array.iter (Array.iter (fun c -> readers_at.(c + 1) <- readers_at.(c + 1) + 1)) ins;
+  for c = 1 to nch do
+    readers_at.(c) <- readers_at.(c) + readers_at.(c - 1)
+  done;
+  let readers = Array.make readers_at.(nch) 0 in
+  let next = Array.sub readers_at 0 nch in
+  let producer = Array.make nch (-1) in
+  for i = 0 to Array.length ins - 1 do
+    let ins = ins.(i) and outs = outs.(i) in
+    for k = 0 to Array.length ins - 1 do
+      let c = ins.(k) in
+      readers.(next.(c)) <- i;
+      next.(c) <- next.(c) + 1
+    done;
+    for k = 0 to Array.length outs - 1 do
+      if producer.(outs.(k)) < 0 then producer.(outs.(k)) <- i
+    done
+  done;
+  (readers, readers_at, producer)
 
 let create (processes : process list) : t =
+  let procs = Array.of_list processes in
   (* nets average about two channels per process *)
-  let t =
-    { processes; channels = Hashtbl.create (2 * List.length processes) }
+  let ids = Names.create (2 * Array.length procs) in
+  let names = ref [] in
+  (* [a.(k)..] <- the ids of [l], numbering the new names *)
+  let rec number (a : int array) k = function
+    | [] -> a
+    | name :: rest ->
+      (a.(k) <-
+         match Names.find_opt ids name with
+         | Some c -> c
+         | None ->
+           let c = Names.length ids in
+           Names.add ids name c;
+           names := name :: !names;
+           c);
+      number a (k + 1) rest
   in
-  List.iter
-    (fun p ->
-      List.iter (add_channel t) p.inputs;
-      List.iter (add_channel t) p.outputs)
-    processes;
-  t
+  let ids_of l = number (Array.make (List.length l) 0) 0 l in
+  let ins = Array.make (Array.length procs) [||]
+  and outs = Array.make (Array.length procs) [||] in
+  Array.iteri
+    (fun i p ->
+      ins.(i) <- ids_of p.inputs;
+      outs.(i) <- ids_of p.outputs)
+    procs;
+  let names = Array.of_list (List.rev !names) in
+  let nch = Array.length names in
+  let readers, readers_at, producer = wire nch ins outs in
+  let dense =
+    {
+      procs;
+      names;
+      queues = Array.init nch (fun _ -> Queue.create ());
+      ins;
+      outs;
+      readers;
+      readers_at;
+      producer;
+      first = first_by_name procs;
+    }
+  in
+  { processes; net = { ids; dense } }
 
-let channel t name =
-  match Hashtbl.find_opt t.channels name with
-  | Some q -> q
-  | None -> invalid_arg (Printf.sprintf "Kpn.channel: no channel %s" name)
+(** Register an empty channel [name] unless [t] already has one.  No
+    process names it, so it has no reader and no producer. *)
+let add_channel t name =
+  let net = t.net in
+  if not (Names.mem net.ids name) then begin
+    let v = net.dense in
+    Names.add net.ids name (Array.length v.names);
+    net.dense <-
+      {
+        v with
+        names = Array.append v.names [| name |];
+        queues = Array.append v.queues [| Queue.create () |];
+        (* a channel after the last one read has no readers *)
+        readers_at = Array.append v.readers_at [| Array.length v.readers |];
+        producer = Array.append v.producer [| -1 |];
+      }
+  end
+
+let channel t name = t.net.dense.queues.(id t name)
 
 (** Feed external input tokens into a channel. *)
 let push t name (tok : token) = Queue.add tok (channel t name)
@@ -91,74 +205,22 @@ let fire_once t (p : process) =
   List.iter2 (fun c tok -> Queue.add tok (channel t c)) p.outputs outs
 
 (* ------------------------------------------------------------------ *)
-(* The dense view the executors run on                                 *)
+(* The executors' view                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type view = {
-  procs : process array;
-  names : string array;
-  queues : token Queue.t array;
-  ins : int array array;
-  outs : int array array;
-  readers : int array;
-  readers_at : int array;
-  producer : int array;
-}
-
-module Names = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
-
-(* [a.(k)..] <- the ids of [names], in order *)
-let rec resolve id (a : int array) k = function
-  | [] -> a
-  | name :: rest ->
-    (a.(k) <-
-       try Names.find id name
-       with Not_found ->
-         invalid_arg (Printf.sprintf "Kpn.channel: no channel %s" name));
-    resolve id a (k + 1) rest
-
-let view ?(order = fun ps -> ps) t =
-  let procs = Array.of_list (order t.processes) in
-  let nch = Hashtbl.length t.channels in
-  let names = Array.make nch "" and queues = Array.make nch (Queue.create ()) in
-  let id = Names.create nch in
-  Hashtbl.iter
-    (fun name q ->
-      let c = Names.length id in
-      names.(c) <- name;
-      queues.(c) <- q;
-      Names.add id name c)
-    t.channels;
-  let ids l = resolve id (Array.make (List.length l) 0) 0 l in
-  let ins = Array.map (fun p -> ids p.inputs) procs in
-  let outs = Array.map (fun p -> ids p.outputs) procs in
-  (* the readers of every channel, channel after channel, in process
-     order: count them, then fill each channel's run *)
-  let readers_at = Array.make (nch + 1) 0 in
-  Array.iter (Array.iter (fun c -> readers_at.(c + 1) <- readers_at.(c + 1) + 1)) ins;
-  for c = 1 to nch do
-    readers_at.(c) <- readers_at.(c) + readers_at.(c - 1)
-  done;
-  let readers = Array.make readers_at.(nch) 0 in
-  let next = Array.sub readers_at 0 nch in
-  let producer = Array.make nch (-1) in
-  for i = 0 to Array.length procs - 1 do
-    let ins = ins.(i) and outs = outs.(i) in
-    for k = 0 to Array.length ins - 1 do
-      let c = ins.(k) in
-      readers.(next.(c)) <- i;
-      next.(c) <- next.(c) + 1
-    done;
-    for k = 0 to Array.length outs - 1 do
-      if producer.(outs.(k)) < 0 then producer.(outs.(k)) <- i
-    done
-  done;
-  { procs; names; queues; ins; outs; readers; readers_at; producer }
+let view ?order t =
+  let v = t.net.dense in
+  match order with
+  | None -> v
+  | Some order ->
+    (* the reordered processes' ids, through the one name table *)
+    let procs = Array.of_list (order t.processes) in
+    let ids l = Array.of_list (List.map (id t) l) in
+    let ins = Array.map (fun p -> ids p.inputs) procs
+    and outs = Array.map (fun p -> ids p.outputs) procs in
+    let readers, readers_at, producer = wire (Array.length v.names) ins outs in
+    let first = first_by_name procs in
+    { v with procs; ins; outs; readers; readers_at; producer; first }
 
 let consumer v c =
   if v.readers_at.(c) < v.readers_at.(c + 1) then v.readers.(v.readers_at.(c))
@@ -199,20 +261,9 @@ let rec put v (outs : int array) k = function
     put v outs (k + 1) rest
 
 let firing_index v =
-  let first = Names.create (Array.length v.procs) in
-  let slot =
-    Array.mapi
-      (fun i p ->
-        match Names.find_opt first p.pname with
-        | Some s -> s
-        | None ->
-          Names.add first p.pname i;
-          i)
-      v.procs
-  in
   let count = Array.make (Array.length v.procs) 0 in
   fun i ->
-    let s = slot.(i) in
+    let s = v.first.(i) in
     let k = count.(s) in
     count.(s) <- k + 1;
     k

@@ -26,17 +26,24 @@ type process = {
   work : int;  (** abstract work per firing (for cost models) *)
 }
 
-type t = {
-  processes : process list;
-  channels : (string, token Queue.t) Hashtbl.t;
-}
+(** A net: its processes, in declaration order, and the dense form
+    {!create} builds once (see {!view}). *)
+type t = private { processes : process list; net : net }
+
+and net
 
 exception Deadlock of string
 
+(** [create processes] numbers each channel the first time a process
+    names it (inputs before outputs, process after process) and
+    resolves every process's inputs and outputs to channel ids, once:
+    the executors run on the result and look up no name. *)
 val create : process list -> t
 
 (** [add_channel t name] registers an empty channel [name] (a source no
-    process reads, say); a no-op when [t] already has one. *)
+    process reads, say); a no-op when [t] already has one.  It copies
+    the channel arrays, one more slot each: nets add few sources after
+    {!create}. *)
 val add_channel : t -> string -> unit
 
 (** @raise Invalid_argument on an unknown channel name. *)
@@ -59,9 +66,8 @@ val fire_once : t -> process -> unit
 
 (** {1 The executors' view}
 
-    A dense view of a net, built once per executor call: channel ids
-    index the net's own queues, and per-firing bookkeeping is done on
-    ints, with no lookup by name. *)
+    The dense form of a net: channel ids index the net's own queues, and
+    per-firing bookkeeping is done on ints, with no lookup by name. *)
 
 type view = private {
   procs : process array;  (** the processes, in the order viewed *)
@@ -76,12 +82,22 @@ type view = private {
       (** channel [c]'s readers are [readers.(readers_at.(c))] up to
           [readers.(readers_at.(c + 1) - 1)] *)
   producer : int array;  (** per channel, its first producer, or -1 *)
+  first : int array;
+      (** per process, the index of the first process viewed with its
+          name: what {!firing_index} counts by *)
 }
 
-(** [view ?order t] views [t]'s channels and the processes
-    [order t.processes] (default: as declared).
+(** [view t] is the net {!create} built, in declaration order: it
+    hashes nothing and copies nothing.  [view ~order t] views the
+    processes [order t.processes] over the same channels, resolving
+    their channel names through [t]'s one name table (the property
+    tests' reorderings; the executors' own calls pass no order).
     @raise Invalid_argument when a process names an unknown channel. *)
 val view : ?order:(process list -> process list) -> t -> view
+
+(** [first_by_name procs] — per process, the index of the first process
+    of [procs] with its name ({!view}'s [first] for [procs]). *)
+val first_by_name : process array -> int array
 
 (** [consumer v c] — channel [c]'s first reader, or -1. *)
 val consumer : view -> int -> int
@@ -98,7 +114,8 @@ val take : view -> int -> token list
 
 (** [firing_index v] returns a counter: each application to a process
     index returns how many times a process of that name has fired
-    before, and counts this firing. *)
+    before, and counts this firing.  It counts by [v.first], so it
+    hashes no name. *)
 val firing_index : view -> int -> int
 
 (** [fire_loop v ~max_firings f] fires the lowest-indexed enabled

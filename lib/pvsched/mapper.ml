@@ -68,80 +68,105 @@ let core_slot (cores : core array) : core -> int =
     done;
     if !i < Array.length cores then own.(!i) else by_name c.cname
 
-(* Greedy list placement shared by [place] and [remap]: heaviest process
-   first, each to the core of [cores] with the least [load + cost], then
-   the greatest [bonus p core] (the first such core on ties), whose
-   [load] then grows by the firing cost.  [load] is indexed by core
-   slot; [bonus p] is applied once per process.  Returns (process, core)
-   in that heaviest-first order. *)
+(* Greedy list placement shared by [place_indices] and [remap]: the
+   processes of [procs] heaviest first (declaration order on ties), each
+   to the core of [cores] with the least [load + cost], then the
+   greatest [bonus p core] (the first such core on ties), whose [load]
+   then grows by the firing cost.  [load] is indexed by core slot;
+   [bonus p] is applied once per process.  Returns the placing order
+   (process indices) and each process's own choice (an index into
+   [cores]). *)
 let greedy (cost : cost_model) (cores : core array) (load : int array)
-    (bonus : Kpn.process -> core -> int) (ps : Kpn.process list) :
-    (Kpn.process * core) list =
+    (bonus : Kpn.process -> core -> int) (procs : Kpn.process array) :
+    int array * int array =
   let slots = Array.map (core_slot cores) cores in
-  List.stable_sort
-    (fun (a : Kpn.process) (b : Kpn.process) -> Int.compare b.Kpn.work a.Kpn.work)
-    ps
-  |> List.map (fun (p : Kpn.process) ->
-         let bonus_p = bonus p in
-         let best = ref 0
-         and best_load = ref (load.(slots.(0)) + cost p cores.(0))
-         and best_bonus = ref (bonus_p cores.(0)) in
-         for i = 1 to Array.length cores - 1 do
-           let l = load.(slots.(i)) + cost p cores.(i) in
-           let b = bonus_p cores.(i) in
-           if l < !best_load || (l = !best_load && b > !best_bonus) then begin
-             best := i;
-             best_load := l;
-             best_bonus := b
-           end
-         done;
-         let c = cores.(!best) in
-         load.(slots.(!best)) <- load.(slots.(!best)) + cost p c;
-         (p, c))
+  let order = Array.init (Array.length procs) Fun.id in
+  Array.stable_sort
+    (fun a b -> Int.compare procs.(b).Kpn.work procs.(a).Kpn.work)
+    order;
+  let choice = Array.make (Array.length procs) 0 in
+  Array.iter
+    (fun i ->
+      let p = procs.(i) in
+      let bonus_p = bonus p in
+      let best = ref 0
+      and best_load = ref (load.(slots.(0)) + cost p cores.(0))
+      and best_bonus = ref (bonus_p cores.(0)) in
+      for c = 1 to Array.length cores - 1 do
+        let l = load.(slots.(c)) + cost p cores.(c) in
+        let b = bonus_p cores.(c) in
+        if l < !best_load || (l = !best_load && b > !best_bonus) then begin
+          best := c;
+          best_load := l;
+          best_bonus := b
+        end
+      done;
+      load.(slots.(!best)) <- load.(slots.(!best)) + cost p cores.(!best);
+      choice.(i) <- !best)
+    order;
+  (order, choice)
 
-(* [choices] (process, core) as a name -> core table; the first choice
-   for a name wins *)
-let choice_table choices =
-  let t = Hashtbl.create (List.length choices) in
-  List.iter
-    (fun ((p : Kpn.process), c) ->
-      if not (Hashtbl.mem t p.Kpn.pname) then Hashtbl.add t p.Kpn.pname c)
-    choices;
-  t
+(* [greedy]'s choices under the duplicate-name rule: every process
+   takes the choice made for the first process of its group ([first],
+   as {!Kpn.first_by_name} groups) in placing [order]. *)
+let by_first ~(first : int array) (order : int array) (choice : int array) :
+    int array =
+  let chosen = Array.make (Array.length first) (-1) in
+  Array.iter
+    (fun i ->
+      let g = first.(i) in
+      if chosen.(g) < 0 then chosen.(g) <- choice.(i))
+    order;
+  Array.map (fun g -> chosen.(g)) first
+
+let rec met machine = function
+  | [] -> 0
+  | cap :: caps ->
+    (if Pvmach.Machine.has_cap machine cap then 1 else 0) + met machine caps
+
+(* hardware preferences met: {!place}'s tie-breaker after load + cost *)
+let prefs_met (p : Kpn.process) =
+  let prefs =
+    match Pvir.Annot.find_list Pvir.Annot.key_hw_prefs p.Kpn.annots with
+    | Some l ->
+      List.filter_map
+        (function Pvir.Annot.Str s -> Pvmach.Capability.of_string s | _ -> None)
+        l
+    | None -> []
+  in
+  fun c -> met c.machine prefs
+
+(** [place_indices platform cost ~first procs] is {!place} by process
+    index: per process of [procs], the index in [platform.cores] of its
+    core.  [first] groups the processes by name, as
+    {!Kpn.first_by_name} does; every process of a name takes the core
+    chosen for the one of that name placed first.  It looks up no
+    name. *)
+let place_indices (platform : platform) (cost : cost_model)
+    ~(first : int array) (procs : Kpn.process array) : int array =
+  if platform.cores = [] then invalid_arg "Mapper.place: empty platform";
+  let cores = Array.of_list platform.cores in
+  let order, choice =
+    greedy cost cores (Array.make (Array.length cores) 0) prefs_met procs
+  in
+  by_first ~first order choice
 
 (** Greedy annotation- and load-aware placement.  Processes are placed
     heaviest-first; each goes to the core minimizing
     [accumulated load + firing cost], with hardware-preference
     satisfaction breaking ties.  The load term spreads parallel numeric
     stages across multiple accelerators instead of piling them onto the
-    single cheapest core. *)
+    single cheapest core.  Processes that share a name share the core
+    chosen for the first of them placed. *)
 let place (platform : platform) (cost : cost_model) (ps : Kpn.process list) :
     placement =
-  if platform.cores = [] then invalid_arg "Mapper.place: empty platform";
+  let procs = Array.of_list ps in
+  let at =
+    place_indices platform cost ~first:(Kpn.first_by_name procs) procs
+  in
   let cores = Array.of_list platform.cores in
-  (* hardware preferences met: the tie-breaker after load + cost *)
-  let prefs_met (p : Kpn.process) =
-    let prefs =
-      match Pvir.Annot.find_list Pvir.Annot.key_hw_prefs p.Kpn.annots with
-      | Some l ->
-        List.filter_map
-          (function Pvir.Annot.Str s -> Pvmach.Capability.of_string s | _ -> None)
-          l
-      | None -> []
-    in
-    fun c ->
-      List.fold_left
-        (fun k cap -> if Pvmach.Machine.has_cap c.machine cap then k + 1 else k)
-        0 prefs
-  in
-  let placed =
-    choice_table
-      (greedy cost cores (Array.make (Array.length cores) 0) prefs_met ps)
-  in
-  (* return in the caller's process order *)
-  List.map
-    (fun (p : Kpn.process) -> (p.Kpn.pname, Hashtbl.find placed p.Kpn.pname))
-    ps
+  (* in the caller's process order *)
+  List.mapi (fun i (p : Kpn.process) -> (p.Kpn.pname, cores.(at.(i)))) ps
 
 (** Place everything on a single core (the baseline the paper's scenario
     contrasts against: third-party code confined to the host). *)
@@ -214,11 +239,10 @@ let timing (platform : platform) (v : Kpn.view) : timing =
       Array.map
         (fun q ->
           let a = Intq.create () in
-          Queue.iter
-            (fun _ ->
-              Intq.push a 0;
-              Intq.push a (-1))
-            q;
+          for _ = 1 to Queue.length q do
+            Intq.push a 0;
+            Intq.push a (-1)
+          done;
           a)
         v.Kpn.queues;
     free = Array.make (List.length platform.cores) 0;
@@ -407,17 +431,22 @@ let remap ?ledger (platform : platform) (cost : cost_model) (pl : placement)
       let c = core_of p in
       load.(slot c) <- load.(slot c) + cost p c)
     staying;
-  let moved =
-    greedy cost survivors load (fun _ _ -> 0) displaced
-    |> List.map (fun ((p : Kpn.process), best) ->
-           Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Accel_remap
-             ~subject:p.Kpn.pname
-             ~detail:
-               (Printf.sprintf "core %s failed; re-JITted for %s" dead
-                  best.cname);
-           (p, best))
-    |> choice_table
-  in
+  let displaced = Array.of_list displaced in
+  let order, choice = greedy cost survivors load (fun _ _ -> 0) displaced in
+  Array.iter
+    (fun i ->
+      Pvtrace.Ledger.record_opt ledger Pvtrace.Ledger.Accel_remap
+        ~subject:displaced.(i).Kpn.pname
+        ~detail:
+          (Printf.sprintf "core %s failed; re-JITted for %s" dead
+             survivors.(choice.(i)).cname))
+    order;
+  let at = by_first ~first:(Kpn.first_by_name displaced) order choice in
+  let moved = Hashtbl.create (Array.length displaced) in
+  Array.iteri
+    (fun i (p : Kpn.process) ->
+      Hashtbl.replace moved p.Kpn.pname survivors.(at.(i)))
+    displaced;
   List.map
     (fun (name, c) ->
       match Hashtbl.find_opt moved name with

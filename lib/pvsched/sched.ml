@@ -87,7 +87,8 @@ let default_cost : Mapper.cost_model = fun p _ -> Int.max 1 p.Kpn.work
     {!Kpn}'s readiness rule {e and} every consumed output channel has
     room.  Firings are simulated as a list schedule over [platform] using
     [cost] (default: [max 1 work] cycles anywhere), [placement]
-    (default: {!Mapper.place}) and {!Mapper.timing}'s firing-time rule;
+    (default: {!Mapper.place}'s, computed by process index with
+    {!Mapper.place_indices}) and {!Mapper.timing}'s firing-time rule;
     FIFO and priority firings run on their placed core, work stealing
     may run a firing on the idle thief.
 
@@ -100,19 +101,24 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
   let platform =
     match platform with Some p -> p | None -> default_platform ()
   in
-  let placement =
-    match placement with
-    | Some pl -> pl
-    | None -> Mapper.place platform cost net.Kpn.processes
-  in
   let cores = Array.of_list platform.Mapper.cores in
   let ncores = Array.length cores in
   if ncores = 0 then invalid_arg "Sched.execute: empty platform";
   let v = Kpn.view net in
   let procs = v.Kpn.procs and queues = v.Kpn.queues in
   let n = Array.length procs in
-  let core_of = Mapper.core_of placement and slot = Mapper.core_slot cores in
-  let home = Array.map (fun p -> slot (core_of p)) procs in
+  let slot = Mapper.core_slot cores in
+  (* each process's core slot *)
+  let home =
+    match placement with
+    | Some pl ->
+      let core_of = Mapper.core_of pl in
+      Array.map (fun p -> slot (core_of p)) procs
+    | None ->
+      Array.map
+        (fun c -> slot cores.(c))
+        (Mapper.place_indices platform cost ~first:v.Kpn.first procs)
+  in
   (* token arrivals and core free times parallel the value queues *)
   let tm = Mapper.timing platform v in
   (* per channel, every token it has carried, newest first *)
@@ -338,23 +344,50 @@ let execute ?(policy = Fifo) ?(capacity = 4) ?platform ?(cost = default_cost)
     produced = !produced;
   }
 
+(* [x]'s decimal digits, as [%Ld] prints them, onto [b], built from the
+   right in [scratch]; the digits of a non-positive value, so that
+   [Int64.min_int] needs no negation *)
+let add_int64 b (scratch : Bytes.t) x =
+  let neg = Int64.compare x 0L < 0 in
+  if neg then Buffer.add_char b '-';
+  let m = ref (if neg then x else Int64.neg x) in
+  let pos = ref (Bytes.length scratch) in
+  let continue_ = ref true in
+  while !continue_ do
+    decr pos;
+    Bytes.unsafe_set scratch !pos
+      (Char.unsafe_chr (48 - Int64.to_int (Int64.rem !m 10L)));
+    m := Int64.div !m 10L;
+    continue_ := !m <> 0L
+  done;
+  Buffer.add_subbytes b scratch !pos (Bytes.length scratch - !pos)
+
 (** [streams_digest r] — canonical fingerprint of the per-channel token
     streams, for cheap byte-identity comparison across policies and
-    engines. *)
+    engines.  The digested text is one line per channel: its name, [=],
+    then each token as [\[v;v;…\]], each value [v] as
+    {!Pvir.Value.to_string} prints it.  Integers, the common case, are
+    written into the buffer digit by digit rather than through
+    [Printf]. *)
 let streams_digest (r : result) : string =
-  let b = Buffer.create 256 in
+  let b = Buffer.create 65536 and scratch = Bytes.create 20 in
   List.iter
     (fun (name, toks) ->
       Buffer.add_string b name;
       Buffer.add_char b '=';
       List.iter
-        (fun tok ->
+        (fun (tok : Kpn.token) ->
           Buffer.add_char b '[';
-          Array.iter
-            (fun v ->
-              Buffer.add_string b (Pvir.Value.to_string v);
-              Buffer.add_char b ';')
-            tok;
+          for k = 0 to Array.length tok - 1 do
+            (match tok.(k) with
+            | Pvir.Value.Int (s, x) ->
+              add_int64 b scratch x;
+              Buffer.add_char b ':';
+              Buffer.add_string b (Pvir.Types.scalar_name s)
+            | (Pvir.Value.Float _ | Pvir.Value.Vec _) as v ->
+              Buffer.add_string b (Pvir.Value.to_string v));
+            Buffer.add_char b ';'
+          done;
           Buffer.add_char b ']')
         toks;
       Buffer.add_char b '\n')

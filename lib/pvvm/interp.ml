@@ -464,10 +464,20 @@ let decoded t (fn : Pvir.Func.t) : Decode.dfunc =
     Hashtbl.replace t.dcache fn.Pvir.Func.name df;
     df
 
+(* bind the arguments to the parameter registers (arities checked) *)
+let rec dbind frame params (args : Pvir.Value.t list) =
+  match (params, args) with
+  | r :: params, v :: args ->
+    dset frame r v;
+    dbind frame params args
+  | _ -> ()
+
 let rec dcall t (c : Aotabi.ctx) (df : Decode.dfunc)
     (args : Pvir.Value.t list) : Pvir.Value.t option =
   c.calls <- c.calls + 1;
-  Option.iter (fun p -> Profile.enter p df.Decode.dname) t.profile;
+  (match t.profile with
+  | Some p -> Profile.enter p df.Decode.dname
+  | None -> ());
   if List.length args <> df.Decode.dnparams then
     Vm.trap "arity mismatch calling %s" df.Decode.dname;
   let frame =
@@ -477,7 +487,7 @@ let rec dcall t (c : Aotabi.ctx) (df : Decode.dfunc)
       dsp = c.sp;
     }
   in
-  List.iter2 (fun r v -> dset frame r v) df.Decode.dparams args;
+  dbind frame df.Decode.dparams args;
   if Array.length df.Decode.dblocks = 0 then
     invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" df.Decode.dname);
   (* shadow stack for the sampler, mirroring [tw_call] *)
@@ -635,33 +645,45 @@ let aot_hook :
     ref =
   ref threaded
 
+(* One activation: {!enter}, run, and {!leave} on every exit.  A return
+   and a checkpoint keep the context's [sp]: a returning activation has
+   popped its frames, and a checkpoint keeps them for the snapshot.  Any
+   other exception (a trap, fuel exhaustion included) releases the
+   stack of the frames it unwound: [sp] goes back to the entry [sp],
+   which [t.sp] still holds, and the counters keep the work done. *)
 let call_untraced t (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
   (* an exceptional unwind (trap, checkpoint) skips the per-call shadow
      stack pops; one restore here keeps the sampler's stack honest *)
   let saved_stack = t.sstack in
   let c = enter t in
-  try
-    Fun.protect
-      ~finally:(fun () -> leave t c)
-      (fun () ->
-        match t.engine with
-        | Tree_walk -> tw_call t c fn args
-        | Threaded -> threaded t c fn args
-        | Aot -> !aot_hook t c fn args)
+  match
+    match t.engine with
+    | Tree_walk -> tw_call t c fn args
+    | Threaded -> threaded t c fn args
+    | Aot -> !aot_hook t c fn args
   with
-  | Ckpt_capture frames ->
+  | r ->
+    leave t c;
+    r
+  | exception Ckpt_capture frames ->
+    leave t c;
     t.sstack <- saved_stack;
     finish_capture t !frames
-  | e ->
+  | exception e ->
+    c.sp <- t.sp;
+    leave t c;
     t.sstack <- saved_stack;
     raise e
 
 (** Call [fn] with [args] under the configured engine.  With a trace sink
     attached, the whole activation becomes a {!Vm.span}. *)
 let call t (fn : Pvir.Func.t) (args : Pvir.Value.t list) : Pvir.Value.t option =
-  Vm.span t.tr ~clock:cycles t ~engine:t.engine ~kind:"interp"
-    fn.Pvir.Func.name (fun () -> call_untraced t fn args)
+  match t.tr with
+  | None -> call_untraced t fn args
+  | Some _ ->
+    Vm.span t.tr ~clock:cycles t ~engine:t.engine ~kind:"interp"
+      fn.Pvir.Func.name (fun () -> call_untraced t fn args)
 
 (** Run function [name] with [args].  Returns the result value (if any)
     and leaves cycle/instruction counts in [stats]. *)
@@ -760,23 +782,27 @@ let resume_frames t (frames : Pvir.Ckpt.frame list) : Pvir.Value.t option =
   if t.sampler <> None then
     t.sstack <- List.map (fun f -> f.Pvir.Ckpt.ck_fn) frames;
   let finish_stack () = if t.sampler <> None then t.sstack <- [] in
+  (* the suspended activation's entry sp: its outermost frame's *)
+  let entry_sp =
+    match List.rev frames with f :: _ -> f.Pvir.Ckpt.ck_sp | [] -> t.sp
+  in
   let c = enter t in
-  try
-    let r =
-      Fun.protect
-        ~finally:(fun () -> leave t c)
-        (fun () ->
-          match t.engine with
-          | Tree_walk -> resume_with t c (tw_run_frame t c) None frames
-          | Threaded | Aot -> resume_with t c (d_run_frame t c) None frames)
-    in
+  match
+    match t.engine with
+    | Tree_walk -> resume_with t c (tw_run_frame t c) None frames
+    | Threaded | Aot -> resume_with t c (d_run_frame t c) None frames
+  with
+  | r ->
+    leave t c;
     finish_stack ();
     r
-  with
-  | Ckpt_capture frames ->
+  | exception Ckpt_capture frames ->
+    leave t c;
     finish_stack ();
     finish_capture t !frames
-  | e ->
+  | exception e ->
+    c.sp <- entry_sp;
+    leave t c;
     finish_stack ();
     raise e
 

@@ -366,6 +366,19 @@ let decoded t (ce : centry) : Mdecode.dfunc =
     ce.cdec <- Some df;
     df
 
+(* calling convention: the leading arguments to the parameter
+   registers, the rest to the stack-passed argument slots
+   [sarg_idx.(k)..] (arities checked) *)
+let rec sbind frame params k (args : Pvir.Value.t list) =
+  match (params, args) with
+  | r :: params, v :: args ->
+    sset frame r v;
+    sbind frame params k args
+  | [], v :: args ->
+    frame.sslots.(frame.sdf.Mdecode.sarg_idx.(k)) <- v;
+    sbind frame [] (k + 1) args
+  | _, [] -> ()
+
 let rec scall t (c : Aotabi.ctx) (df : Mdecode.dfunc)
     (args : Pvir.Value.t list) : Pvir.Value.t option =
   charge c t.machine.Machine.call_cost;
@@ -387,12 +400,7 @@ let rec scall t (c : Aotabi.ctx) (df : Mdecode.dfunc)
       sdf = df;
     }
   in
-  let reg_args = List.filteri (fun i _ -> i < n_reg) args in
-  let stack_args = List.filteri (fun i _ -> i >= n_reg) args in
-  List.iter2 (fun r v -> sset frame r v) df.Mdecode.sparams reg_args;
-  List.iteri
-    (fun i v -> frame.sslots.(df.Mdecode.sarg_idx.(i)) <- v)
-    stack_args;
+  sbind frame df.Mdecode.sparams 0 args;
   if Array.length df.Mdecode.sblocks = 0 then
     invalid_arg
       (Printf.sprintf "Mir.entry: %s has no blocks" df.Mdecode.sname);
@@ -530,16 +538,27 @@ let aot_hook :
     ref =
   ref threaded
 
+(* One activation: {!enter}, run, and {!leave} on every exit.  A
+   returning activation has popped its frames.  An exception (a trap,
+   fuel exhaustion included) releases the stack of the frames it
+   unwound: [sp] goes back to the entry [sp], which [t.sp] still holds,
+   and the counters keep the work done. *)
 let call_untraced t (fn : Mir.func) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
   let c = enter t in
-  Fun.protect
-    ~finally:(fun () -> leave t c)
-    (fun () ->
-      match t.engine with
-      | Tree_walk -> tw_call t c fn args
-      | Threaded -> threaded t c fn args
-      | Aot -> !aot_hook t c fn args)
+  match
+    match t.engine with
+    | Tree_walk -> tw_call t c fn args
+    | Threaded -> threaded t c fn args
+    | Aot -> !aot_hook t c fn args
+  with
+  | r ->
+    leave t c;
+    r
+  | exception e ->
+    c.sp <- t.sp;
+    leave t c;
+    raise e
 
 (* one {!Vm.span} per top-level activation *)
 let traced t name f =
@@ -549,15 +568,21 @@ let traced t name f =
     the code cache is decoded on the fly (uncached).  With a trace sink
     attached, the activation becomes a span on the VM track. *)
 let call t (fn : Mir.func) (args : Pvir.Value.t list) : Pvir.Value.t option =
-  traced t fn.Mir.mname (fun () -> call_untraced t fn args)
+  match t.tr with
+  | None -> call_untraced t fn args
+  | Some _ -> traced t fn.Mir.mname (fun () -> call_untraced t fn args)
+
+let run_untraced t name args =
+  match Hashtbl.find_opt t.code name with
+  | Some ce -> call_untraced t ce.cfn args
+  | None -> Vm.trap "no compiled code for %s" name
 
 (** Run compiled function [name].  All callees it reaches must have been
     registered with {!add_func} (the cache models the JIT's code cache). *)
 let run t name args =
-  traced t name (fun () ->
-      match Hashtbl.find_opt t.code name with
-      | Some ce -> call_untraced t ce.cfn args
-      | None -> Vm.trap "no compiled code for %s" name)
+  match t.tr with
+  | None -> run_untraced t name args
+  | Some _ -> traced t name (fun () -> run_untraced t name args)
 
 (** Absorb this simulator's counters into a metrics registry:
     cycles/instructions/spill traffic plus fuel and allocation headroom.

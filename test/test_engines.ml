@@ -134,7 +134,7 @@ let rloop_arb = QCheck.make rloop_gen ~print:(fun s -> s)
 
 (* Everything the engines must agree on: the result or the trap message,
    the printed output, every counter, and the stack pointer the run
-   leaves behind — after a trap too, when no frame has been popped. *)
+   leaves behind — after a trap too. *)
 type outcome = Value of Pvir.Value.t option | Trapped of string
 
 let same_outcome a b =
@@ -158,8 +158,7 @@ type interp_obs = {
 
 (* Run [name] with [args] on an existing interpreter and observe what the
    VM holds afterwards (counters and output are cumulative). *)
-let interp_run it name args =
-  let ir = outcome_of (fun () -> Pvvm.Interp.run it name args) in
+let interp_observe it ir =
   let st = it.Pvvm.Interp.stats in
   {
     ir;
@@ -169,6 +168,9 @@ let interp_run it name args =
     icalls = st.Pvvm.Interp.calls;
     isp = it.Pvvm.Interp.sp;
   }
+
+let interp_run it name args =
+  interp_observe it (outcome_of (fun () -> Pvvm.Interp.run it name args))
 
 let interp_obs_equal a b =
   same_outcome a.ir b.ir && String.equal a.iout b.iout
@@ -379,9 +381,10 @@ let test_division_by_zero_parity () =
 
 (* [main(z)] calls [f(z)], which calls [g(z)]; each keeps a local array
    on the stack, and [g]'s loop divides by [z].  A trap two frames deep
-   pops no frame, so [sp] stays below its initial value.  Counters and
-   [sp] reach the VM once, when the activation ends, and every engine
-   must leave the same ones — and a next run on the same VM starts from
+   releases the stack its frames took, so [sp] returns to its entry
+   value, while the counters keep the work done.  Counters and [sp]
+   reach the VM once, when the activation ends, and every engine must
+   leave the same ones — and a next run on the same VM starts from
    them. *)
 let nested_src =
   {|
@@ -461,9 +464,9 @@ let test_trap_state_interp () =
   | [ t; r ] ->
     trapped "interp z=0" "division by zero" t.ir;
     check "interp: main, f and g were called" true (t.icalls = 3);
-    check "interp: the trap popped no frame" true (t.isp < sp0);
+    check "interp: the trap released its frames' stack" true (t.isp = sp0);
     completed "interp z=1 after the trap" r.ir;
-    check "interp: z=1 returns to the trapped sp" true (r.isp = t.isp)
+    check "interp: z=1 returns to the entry sp" true (r.isp = sp0)
   | _ -> assert false);
   let fuel = Int64.div full.iinstrs 2L in
   match
@@ -471,7 +474,9 @@ let test_trap_state_interp () =
   with
   | [ t; again ] ->
     trapped "interp fuel" Pvvm.Interp.fuel_exhausted_msg t.ir;
-    check "interp: fuel ran out inside g" true (t.icalls = 3 && t.isp < sp0);
+    check "interp: fuel ran out inside g" true (t.icalls = 3);
+    check "interp: the fuel trap released its frames' stack" true
+      (t.isp = sp0);
     trapped "interp rerun" Pvvm.Interp.fuel_exhausted_msg again.ir
   | _ -> assert false
 
@@ -489,9 +494,9 @@ let test_trap_state_sim () =
        with
       | [ t; r ] ->
         trapped (what "z=0") "division by zero" t.sr;
-        check (what "trap popped no frame") true (t.ssp < sp0);
+        check (what "trap released its frames' stack") true (t.ssp = sp0);
         completed (what "z=1 after the trap") r.sr;
-        check (what "z=1 returns to the trapped sp") true (r.ssp = t.ssp)
+        check (what "z=1 returns to the entry sp") true (r.ssp = sp0)
       | _ -> assert false);
       let fuel = Int64.div full.sinstrs 2L in
       match
@@ -500,10 +505,86 @@ let test_trap_state_sim () =
       with
       | [ t; again ] ->
         trapped (what "fuel") Pvvm.Sim.fuel_exhausted_msg t.sr;
-        check (what "fuel trap popped no frame") true (t.ssp < sp0);
+        check (what "fuel trap released its frames' stack") true
+          (t.ssp = sp0);
         trapped (what "rerun") Pvvm.Sim.fuel_exhausted_msg again.sr
       | _ -> assert false)
     [ Pvmach.Machine.x86ish; Pvmach.Machine.uchost ]
+
+(* A snapshot taken inside [g] during [main 0], three frames deep, and
+   resumed on a fresh VM traps where the unmigrated run does and leaves
+   its state: the same counters and output, and [sp] back at the VM's
+   initial value (the suspended activation's entry [sp], not the [sp]
+   captured inside [g]). *)
+let test_resumed_trap_state () =
+  Pvaot.install ();
+  let prog = Core.Splitc.frontend nested_src in
+  let z0 = [ Pvir.Value.i64 0L ] in
+  List.iter
+    (fun engine ->
+      let what k =
+        Printf.sprintf "interp %s %s" (Pvvm.Vm.engine_name engine) k
+      in
+      let direct = interp_run (nested_interp engine) "main" z0 in
+      trapped (what "z=0") "division by zero" direct.ir;
+      (* the first safepoint inside g *)
+      let rec inside_g at =
+        match Pvvm.Snapshot.run_until (nested_interp engine) "main" z0 ~at with
+        | Pvvm.Snapshot.Checkpointed s
+          when List.length s.Pvir.Ckpt.ck_frames = 3 ->
+          s
+        | Pvvm.Snapshot.Checkpointed _ -> inside_g (Int64.add at 1L)
+        | Pvvm.Snapshot.Completed _ -> Alcotest.failf "%s" (what "completed")
+      in
+      let snap = inside_g 0L in
+      let fresh = Pvvm.Snapshot.interp_for ~engine prog snap in
+      let sp0 = fresh.Pvvm.Interp.sp in
+      check (what "captured below the entry sp") true
+        (snap.Pvir.Ckpt.ck_gsp < sp0);
+      let resumed =
+        interp_observe fresh
+          (outcome_of (fun () -> Pvvm.Snapshot.resume fresh snap))
+      in
+      trapped (what "resumed") "division by zero" resumed.ir;
+      check (what "resumed trap: sp back at the VM's initial value") true
+        (resumed.isp = sp0);
+      check (what "resumed trap leaves the unmigrated run's state") true
+        (interp_obs_equal direct resumed))
+    Pvvm.Vm.engines
+
+(* 20,000 traps two calls deep on one VM take more stack than it has,
+   were the trapped frames' stack kept; each trap releases it, so a
+   [main 1] afterwards still returns its value, on every engine of both
+   executors. *)
+let test_traps_release_stack () =
+  Pvaot.install ();
+  let traps = 20_000 in
+  let on_one_vm what run sp =
+    let sp0 = sp () in
+    for k = 1 to traps do
+      match run 0L with
+      | Trapped "division by zero" -> ()
+      | Trapped m -> Alcotest.failf "%s: trap %d raised %S" what k m
+      | Value _ -> Alcotest.failf "%s: main 0 returned" what
+    done;
+    check (what ^ ": sp back at its entry value") true (sp () = sp0);
+    completed (what ^ ": main 1 after the traps") (run 1L)
+  in
+  List.iter
+    (fun engine ->
+      let it = nested_interp engine in
+      on_one_vm
+        ("interp " ^ Pvvm.Vm.engine_name engine)
+        (fun z ->
+          outcome_of (fun () -> Pvvm.Interp.run it "main" [ Pvir.Value.i64 z ]))
+        (fun () -> it.Pvvm.Interp.sp);
+      let sim = nested_sim ~machine:Pvmach.Machine.x86ish engine in
+      on_one_vm
+        ("sim " ^ Pvvm.Vm.engine_name engine)
+        (fun z ->
+          outcome_of (fun () -> Pvvm.Sim.run sim "main" [ Pvir.Value.i64 z ]))
+        (fun () -> sim.Pvvm.Sim.sp))
+    Pvvm.Vm.engines
 
 (* ---------------- exact kernel cycle parity ---------------- *)
 
@@ -565,6 +646,10 @@ let () =
             test_trap_state_interp;
           Alcotest.test_case "nested trap state (simulator)" `Quick
             test_trap_state_sim;
+          Alcotest.test_case "traps release the stack" `Quick
+            test_traps_release_stack;
+          Alcotest.test_case "resumed trap state" `Quick
+            test_resumed_trap_state;
         ] );
       ( "kernels",
         [

@@ -180,6 +180,35 @@ let test_kpn_drain_ordering () =
     (List.map tok_val (Pvsched.Kpn.drain net "out") = [ 19; 3; 9 ]);
   check bool_t "drain empties" true (Pvsched.Kpn.drain net "out" = [])
 
+let test_kpn_channels_after_create () =
+  (* sources no process names, added one by one after [create]: every
+     executor sees them *)
+  let net = Pvsched.Kpn.create (pipeline ()) in
+  let extra = List.init 20 (Printf.sprintf "x%02d") in
+  List.iteri
+    (fun i c ->
+      Pvsched.Kpn.add_channel net c;
+      Pvsched.Kpn.add_channel net c;
+      Pvsched.Kpn.push net c (tok i))
+    extra;
+  List.iter (fun x -> Pvsched.Kpn.push net "in" (tok x)) [ 1; 2 ];
+  let r = Pvsched.Sched.execute net in
+  check int_t "the pipeline fires" 4 r.Pvsched.Sched.stats.Pvsched.Sched.firings;
+  check (Alcotest.list Alcotest.string) "every channel, in name order"
+    ([ "in"; "mid"; "out" ] @ extra)
+    (List.map fst r.Pvsched.Sched.residual);
+  check (Alcotest.list int_t) "added channels keep their tokens"
+    (List.init 20 Fun.id)
+    (List.map
+       (fun c -> tok_val (List.hd (List.assoc c r.Pvsched.Sched.streams)))
+       extra);
+  Pvsched.Kpn.add_channel net "late";
+  Pvsched.Kpn.push net "late" (tok 7);
+  check (Alcotest.list int_t) "a channel added after a run" [ 7 ]
+    (List.map tok_val (Pvsched.Kpn.drain net "late"));
+  check int_t "the view names it" 24
+    (Array.length (Pvsched.Kpn.view net).Pvsched.Kpn.names)
+
 (* ---------------- bounded scheduler ---------------- *)
 
 let sched_pipeline_net tokens =
@@ -355,6 +384,96 @@ let test_sched_deadlock_budget () =
   match Pvsched.Sched.execute ~max_firings:64 net with
   | exception Pvsched.Kpn.Deadlock _ -> ()
   | _ -> Alcotest.fail "self-feeding network terminated under Sched"
+
+(* The digest's text before it wrote integers itself: every value
+   through [Value.to_string] ([Printf]'s [%Ld], [%h]). *)
+let printf_streams_digest (r : Pvsched.Sched.result) =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (name, toks) ->
+      Printf.bprintf b "%s=" name;
+      List.iter
+        (fun (tok : Pvsched.Kpn.token) ->
+          Buffer.add_char b '[';
+          Array.iter
+            (fun v -> Printf.bprintf b "%s;" (Pvir.Value.to_string v))
+            tok;
+          Buffer.add_char b ']')
+        toks;
+      Buffer.add_char b '\n')
+    r.Pvsched.Sched.streams;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_streams_digest_text () =
+  let result streams =
+    {
+      Pvsched.Sched.events = [];
+      stats =
+        {
+          Pvsched.Sched.firings = 0;
+          steals = 0;
+          makespan = 0L;
+          busy = [];
+          starved = [];
+        };
+      streams;
+      residual = [];
+      consumed = 0;
+      produced = 0;
+    }
+  in
+  let ints s lo hi =
+    List.map
+      (fun x -> [| Pvir.Value.int s x |])
+      [ 0L; 1L; -1L; lo; hi; Int64.succ lo; Int64.pred hi ]
+  in
+  let around x =
+    List.concat_map
+      (fun d -> [ Int64.add x d; Int64.neg (Int64.add x d) ])
+      [ -1L; 0L; 1L ]
+  in
+  let wide =
+    List.map
+      (fun x -> [| Pvir.Value.i64 x |])
+      (around 1_000_000_000L @ around 1_000_000_000_000_000_000L
+      @ [ Int64.min_int; Int64.max_int; 10L; -10L; 9L; -9L ])
+  in
+  let floats s =
+    List.map
+      (fun x -> [| Pvir.Value.float s x |])
+      [ 0.0; -0.0; 1.5; -2.25; Float.nan; Float.infinity; Float.neg_infinity ]
+  in
+  let vectors =
+    [
+      [| Pvir.Value.vec [| Pvir.Value.i32 (-7); Pvir.Value.i32 0x7fffffff |] |];
+      [| Pvir.Value.vec [| Pvir.Value.f64 (-0.0); Pvir.Value.f64 nan |] |];
+      [| Pvir.Value.i8 (-128); Pvir.Value.f32 0.5; Pvir.Value.i16 (-32768) |];
+    ]
+  in
+  let cases =
+    [
+      ("empty result", []);
+      ("empty channel", [ ("c", []) ]);
+      ("empty tokens", [ ("c", [ [||]; [||] ]); ("d", [ [||] ]) ]);
+      ( "every integer width",
+        [
+          ("i8", ints Pvir.Types.I8 (-128L) 127L);
+          ("i16", ints Pvir.Types.I16 (-32768L) 32767L);
+          ("i32", ints Pvir.Types.I32 (-2147483648L) 2147483647L);
+          ("i64", ints Pvir.Types.I64 Int64.min_int Int64.max_int);
+        ] );
+      ("around 10^9 and 10^18", [ ("w", wide) ]);
+      ( "floats",
+        [ ("f32", floats Pvir.Types.F32); ("f64", floats Pvir.Types.F64) ] );
+      ("vectors and mixed tokens", [ ("v", vectors) ]);
+    ]
+  in
+  List.iter
+    (fun (what, streams) ->
+      let r = result streams in
+      check Alcotest.string what (printf_streams_digest r)
+        (Pvsched.Sched.streams_digest r))
+    cases
 
 (* ---------------- mapper ---------------- *)
 
@@ -606,6 +725,83 @@ let events_digest evs =
     evs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* [Sched.execute] with no placement places by process index; on a net
+   whose processes share names and carry hardware preferences it must
+   run exactly as with [Mapper.place]'s placement passed in. *)
+let test_default_placement_is_place () =
+  let core cname machine = { Pvsched.Mapper.cname; machine } in
+  let plat =
+    {
+      Pvsched.Mapper.cores =
+        [
+          core "host" Pvmach.Machine.ppcish;
+          core "dsp1" Pvmach.Machine.dspish;
+          core "dsp2" Pvmach.Machine.dspish;
+        ];
+      transfer_cost = 7;
+    }
+  in
+  let simd =
+    Pvir.Annot.add Pvir.Annot.key_hw_prefs
+      (Pvir.Annot.List [ Pvir.Annot.Str "simd128" ])
+      Pvir.Annot.empty
+  in
+  let proc pname inputs outputs work annots =
+    {
+      Pvsched.Kpn.pname;
+      inputs;
+      outputs;
+      fire =
+        (fun toks ->
+          let s = List.fold_left (fun s t -> s + tok_val t) 0 toks in
+          List.mapi (fun k _ -> tok (s + k)) outputs);
+      annots;
+      work;
+    }
+  in
+  (* the two "dup"s and the two "join"s each share a name *)
+  let ps =
+    [
+      proc "src" [ "in" ] [ "a"; "b" ] 2 Pvir.Annot.empty;
+      proc "dup" [ "a" ] [ "c" ] 5 simd;
+      proc "dup" [ "b" ] [ "d" ] 5 Pvir.Annot.empty;
+      proc "join" [ "c"; "d" ] [ "e" ] 5 simd;
+      proc "join" [ "e" ] [ "f" ] 3 Pvir.Annot.empty;
+      proc "solo" [ "f" ] [ "out" ] 5 simd;
+    ]
+  in
+  let net () =
+    let t = Pvsched.Kpn.create ps in
+    List.iter (fun x -> Pvsched.Kpn.push t "in" (tok x)) [ 1; 2; 3; 4 ];
+    t
+  in
+  let pl = Pvsched.Mapper.place plat Pvsched.Sched.default_cost ps in
+  List.iter
+    (fun policy ->
+      let what = Pvsched.Sched.policy_name policy in
+      let default =
+        Pvsched.Sched.execute ~policy ~capacity:2 ~platform:plat (net ())
+      in
+      let placed =
+        Pvsched.Sched.execute ~policy ~capacity:2 ~platform:plat ~placement:pl
+          (net ())
+      in
+      check int_t (what ^ ": every process fires") 24
+        default.Pvsched.Sched.stats.Pvsched.Sched.firings;
+      check Alcotest.string (what ^ ": events")
+        (events_digest placed.Pvsched.Sched.events)
+        (events_digest default.Pvsched.Sched.events))
+    Pvsched.Sched.all_policies;
+  (* both "dup"s run where the first placed of them does *)
+  let cores_of name =
+    List.sort_uniq String.compare
+      (List.filter_map
+         (fun (n, c) -> if n = name then Some c.Pvsched.Mapper.cname else None)
+         pl)
+  in
+  check int_t "one core per name" 1 (List.length (cores_of "dup"));
+  check int_t "one core per name (join)" 1 (List.length (cores_of "join"))
+
 let test_schedules_pinned () =
   (* digests of the schedules the three separate Mapper list schedulers
      and the scan-based priority pick produced on this net *)
@@ -700,13 +896,15 @@ let test_e15_pinned () =
   let t = fresh () in
   check int_t "run: firings" 2000 (Pvsched.Kpn.run t);
   let b = Buffer.create 65536 in
-  Hashtbl.fold (fun c _ acc -> c :: acc) t.Pvsched.Kpn.channels []
+  Array.to_list (Pvsched.Kpn.view t).Pvsched.Kpn.names
   |> List.sort String.compare
   |> List.iter (fun c ->
          Printf.bprintf b "%s=" c;
          List.iter
            (fun (tok : Pvsched.Kpn.token) ->
-             Array.iter (fun v -> Printf.bprintf b "%s;" (Pvir.Value.to_string v)) tok;
+             Array.iter
+            (fun v -> Printf.bprintf b "%s;" (Pvir.Value.to_string v))
+            tok;
              Buffer.add_char b '|')
            (Pvsched.Kpn.drain t c);
          Buffer.add_char b '\n');
@@ -728,6 +926,8 @@ let () =
           Alcotest.test_case "starvation" `Quick test_kpn_starvation;
           Alcotest.test_case "drain ordering" `Quick test_kpn_drain_ordering;
           Alcotest.test_case "doubled input" `Quick test_kpn_doubled_input;
+          Alcotest.test_case "channels added after create" `Quick
+            test_kpn_channels_after_create;
         ] );
       ( "sched",
         [
@@ -737,6 +937,10 @@ let () =
           Alcotest.test_case "work stealing steals" `Quick
             test_sched_work_stealing_steals;
           Alcotest.test_case "deadlock budget" `Quick test_sched_deadlock_budget;
+          Alcotest.test_case "streams digest text" `Quick
+            test_streams_digest_text;
+          Alcotest.test_case "default placement is Mapper.place" `Quick
+            test_default_placement_is_place;
         ] );
       ( "mapper",
         [
