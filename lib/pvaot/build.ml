@@ -28,8 +28,10 @@
    their charges and keep vector lanes unboxed via [Lanes].  10: the
    [Aotabi] interface records the context as every engine's activation
    context; generated code is unchanged, but the interface CRC plugins
-   link against moved. *)
-let codegen_version = 10
+   link against moved.  11: [Memory.t] commits its buffer on first use
+   ([bytes] is mutable, a [preset] field follows), and plugins read
+   [M.bytes] directly. *)
+let codegen_version = 11
 
 type toolchain = {
   native : bool;  (** true: ocamlopt -shared -> .cmxs; false: ocamlc -> .cmo *)

@@ -187,11 +187,16 @@ let rec value_matches (ty : Pvir.Types.t) (v : Pvir.Value.t) =
     && Array.for_all (fun e -> value_matches (Pvir.Types.Scalar s) e) es
   | _ -> false
 
-let args_match (fn : Pvir.Func.t) (args : Pvir.Value.t list) =
-  List.length args = List.length fn.Pvir.Func.params
-  && List.for_all2
-       (fun p v -> value_matches (Pvir.Func.reg_type fn p) v)
-       fn.Pvir.Func.params args
+(* [params] and [args] have the same length and some value has a shape
+   other than its parameter's.  A wrong arity is no mismatch: the plugin
+   raises the engine's exact arity trap.  Allocates nothing. *)
+let rec shape_mismatch fn params args bad =
+  match (params, args) with
+  | [], [] -> bad
+  | p :: ps, v :: vs ->
+    shape_mismatch fn ps vs
+      (bad || not (value_matches (Pvir.Func.reg_type fn p) v))
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter runner                                                  *)
@@ -232,38 +237,30 @@ let prepare_interp (t : Pvvm.Interp.t) : outcome =
     t.Pvvm.Interp.aot <- Some o;
     o
 
+(* Every fallback runs the whole activation threaded on the same context,
+   accounting-identical by construction.  An armed checkpoint needs
+   safepoint polls and virtual-register capture, which compiled code
+   cannot provide mid-activation, so the snapshot stays bit-identical to
+   every other engine's.  The profiler and the sampler need block-entry
+   polls and the shadow activation stack, which generated code does not
+   maintain either.  Compiled code only runs [fn] itself, not a function
+   of another program that shares its name.  Nothing here allocates. *)
 let interp_runner (t : Pvvm.Interp.t) (c : Aotabi.ctx) (fn : Pvir.Func.t)
     (args : Pvir.Value.t list) : Pvir.Value.t option =
-  let fallback () = Pvvm.Interp.threaded t c fn args in
-  (* An armed checkpoint needs safepoint polls and virtual-register
-     capture, which compiled code cannot provide mid-activation: the
-     whole activation runs threaded instead (accounting-identical by
-     construction), so the snapshot is bit-identical to every other
-     engine's. *)
-  if Pvvm.Interp.ckpt_armed t then fallback ()
-  else if t.Pvvm.Interp.profile <> None then fallback ()
-    (* the sampler needs block-entry polls and the shadow activation
-       stack, neither of which generated code maintains — same contract
-       as the checkpoint fallback above, and accounting-identical, so
-       the sampled stream matches the other engines bit for bit *)
-  else if t.Pvvm.Interp.sampler <> None then fallback ()
+  if
+    Pvvm.Interp.ckpt_armed t
+    || t.Pvvm.Interp.profile <> None
+    || t.Pvvm.Interp.sampler <> None
+    || not (List.memq fn t.Pvvm.Interp.img.Pvvm.Image.prog.Pvir.Prog.funcs)
+  then Pvvm.Interp.threaded t c fn args
   else
-    match Pvvm.Image.find_func t.Pvvm.Interp.img fn.Pvir.Func.name with
-    | Some f when f == fn -> (
-      match prepare_interp t with
-      | Fallback _ -> fallback ()
-      | Ready p -> (
-        match List.assoc_opt fn.Pvir.Func.name p.entries with
-        | None -> fallback ()
-        | Some entry ->
-          (* wrong arity goes through: the plugin raises the engine's
-             exact arity trap; wrong shapes cannot be unboxed safely *)
-          if
-            List.length args = List.length fn.Pvir.Func.params
-            && not (args_match fn args)
-          then fallback ()
-          else entry c args))
-    | _ -> fallback ()
+    match prepare_interp t with
+    | Fallback _ -> Pvvm.Interp.threaded t c fn args
+    | Ready p -> (
+      match List.assoc fn.Pvir.Func.name p.entries with
+      | entry when not (shape_mismatch fn fn.Pvir.Func.params args false) ->
+        entry c args
+      | _ | (exception Not_found) -> Pvvm.Interp.threaded t c fn args)
 
 (* ------------------------------------------------------------------ *)
 (* Simulator runner                                                    *)

@@ -12,7 +12,11 @@ type t = {
   params : Instr.reg list;
   ret : Types.t option;
   mutable blocks : block list;  (** entry block first *)
-  reg_ty : (Instr.reg, Types.t) Hashtbl.t;
+  mutable reg_ty : Types.t array;
+      (** register [r]'s type at index [r], one word per register;
+          {!undeclared} where none is declared, or past the end.  Decode,
+          parse and {!copy} size it to the highest declared register;
+          {!fresh_reg} grows it by doubling. *)
   mutable next_reg : int;
   mutable next_label : int;
   mutable annots : Annot.t;
@@ -24,9 +28,12 @@ type t = {
           [blocks] invalidate it for free) *)
 }
 
+(* The slot value of a register with no declared type: one physical
+   block, told apart by [==], never a type any constructor makes. *)
+let undeclared : Types.t = Types.Vector (Types.I8, 0)
+
 let create ~name ~params ~ret =
-  let reg_ty = Hashtbl.create 32 in
-  List.iteri (fun i (ty : Types.t) -> Hashtbl.replace reg_ty i ty) params;
+  let reg_ty = Array.of_list params in
   {
     name;
     params = List.mapi (fun i _ -> i) params;
@@ -40,19 +47,57 @@ let create ~name ~params ~ret =
     block_index = None;
   }
 
+(** [declared fn r]: register [r] has a type in [fn]. *)
+let declared fn r =
+  r >= 0 && r < Array.length fn.reg_ty && fn.reg_ty.(r) != undeclared
+
+(** @raise Invalid_argument if [r] is not declared. *)
+let reg_type fn r =
+  if declared fn r then fn.reg_ty.(r)
+  else
+    invalid_arg
+      (Printf.sprintf "Func.reg_type: unknown register r%d in %s" r fn.name)
+
+(** Declare (or redeclare) [r] with type [ty].
+    @raise Invalid_argument if [r] is negative. *)
+let set_reg_type fn r ty =
+  let n = Array.length fn.reg_ty in
+  if r >= n then begin
+    let grown = Array.make (max (r + 1) (2 * n)) undeclared in
+    Array.blit fn.reg_ty 0 grown 0 n;
+    fn.reg_ty <- grown
+  end;
+  fn.reg_ty.(r) <- ty
+
 (** Allocate a fresh virtual register of type [ty]. *)
 let fresh_reg fn ty =
   let r = fn.next_reg in
   fn.next_reg <- r + 1;
-  Hashtbl.replace fn.reg_ty r ty;
+  set_reg_type fn r ty;
   r
 
-let reg_type fn r =
-  match Hashtbl.find_opt fn.reg_ty r with
-  | Some ty -> ty
-  | None -> invalid_arg (Printf.sprintf "Func.reg_type: unknown register r%d in %s" r fn.name)
+(** [fold_regs f fn acc] folds [f r ty] over the declared registers in
+    increasing order. *)
+let fold_regs f fn acc =
+  let acc = ref acc in
+  Array.iteri
+    (fun r ty -> if ty != undeclared then acc := f r ty !acc)
+    fn.reg_ty;
+  !acc
 
-let set_reg_type fn r ty = Hashtbl.replace fn.reg_ty r ty
+(* One past the highest declared register: the exact size of a table. *)
+let reg_extent tys =
+  let n = ref (Array.length tys) in
+  while !n > 0 && tys.(!n - 1) == undeclared do decr n done;
+  !n
+
+(** A register type table for [n] registers from [(r, ty)] declarations
+    (a later one wins), for the decoders.  Each [r] must lie in
+    [[0, n)]. *)
+let reg_table n decls =
+  let tys = Array.make n undeclared in
+  List.iter (fun (r, ty) -> tys.(r) <- ty) decls;
+  tys
 
 (** Append an empty block (terminated by [Ret None] until sealed). *)
 let add_block fn =
@@ -130,6 +175,6 @@ let copy fn =
     fn with
     blocks =
       List.map (fun b -> { b with instrs = b.instrs }) fn.blocks;
-    reg_ty = Hashtbl.copy fn.reg_ty;
+    reg_ty = Array.sub fn.reg_ty 0 (reg_extent fn.reg_ty);
     block_index = None;
   }

@@ -412,17 +412,16 @@ let parse_func st : Func.t =
   let params = List.rev !params in
   let ret = if accept_punct st ':' then Some (parse_ty st) else None in
   expect_punct st '{';
-  let reg_ty = Hashtbl.create 32 in
-  List.iter (fun (r, ty) -> Hashtbl.replace reg_ty r ty) params;
-  (* register declarations *)
-  let rec parse_decls () =
+  (* register declarations, after the parameters' *)
+  let rec parse_decls acc =
     if accept_word st "reg" then (
       let r = reg st in
       expect_punct st ':';
-      Hashtbl.replace reg_ty r (parse_ty st);
-      parse_decls ())
+      let ty = parse_ty st in
+      parse_decls ((r, ty) :: acc))
+    else List.rev acc
   in
-  parse_decls ();
+  let decls = params @ parse_decls [] in
   (* function annotations *)
   let annots = ref Annot.empty in
   while accept_punct st '!' do
@@ -469,7 +468,7 @@ let parse_func st : Func.t =
   in
   go ();
   let blocks = List.rev !blocks in
-  let max_reg = Hashtbl.fold (fun r _ acc -> max acc (r + 1)) reg_ty 0 in
+  let max_reg = List.fold_left (fun acc (r, _) -> max acc (r + 1)) 0 decls in
   let max_label =
     List.fold_left (fun acc (b : Func.block) -> max acc (b.label + 1)) 0 blocks
   in
@@ -478,7 +477,7 @@ let parse_func st : Func.t =
     params = List.map fst params;
     ret;
     blocks;
-    reg_ty;
+    reg_ty = Func.reg_table max_reg decls;
     next_reg = max_reg;
     next_label = max_label;
     annots = !annots;

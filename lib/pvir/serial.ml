@@ -177,17 +177,23 @@ let w_ty b = function
     w_int b n
   | Types.Ptr s -> w_u8 b (0x20 lor scalar_tag s)
 
+(* Decoded scalar and pointer types are shared constants, indexed by
+   scalar tag, so a decoded register type costs one word: its slot. *)
+let scalar_tys = Types.[| i8; i16; i32; i64; f32; f64 |]
+let ptr_tys =
+  Array.map (fun s -> Types.Ptr s) Types.[| I8; I16; I32; I64; F32; F64 |]
+
 let r_ty r =
   let t = r_u8 r in
   let s = scalar_of_tag r (t land 0x0F) in
   match t land 0xF0 with
-  | 0 -> Types.Scalar s
+  | 0 -> scalar_tys.(t land 0x0F)
   | 0x10 ->
     let n = r_int r in
     if n < 2 || n > r.lim.max_vec_lanes then
       corrupt r "bad vector lane count %d" n;
     Types.Vector (s, n)
-  | 0x20 -> Types.Ptr s
+  | 0x20 -> ptr_tys.(t land 0x0F)
   | _ -> corrupt r "bad type tag %d" t
 
 let index_of x l =
@@ -504,9 +510,10 @@ let w_func b (fn : Func.t) =
       w_ty b (Func.reg_type fn r))
     fn.params;
   w_option b w_ty fn.ret;
-  (* full register type table *)
-  let regs = Hashtbl.fold (fun r ty acc -> (r, ty) :: acc) fn.reg_ty [] in
-  let regs = List.sort compare regs in
+  (* full register type table, in register order *)
+  let regs =
+    List.rev (Func.fold_regs (fun r ty acc -> (r, ty) :: acc) fn [])
+  in
   w_list b
     (fun b (r, ty) ->
       w_int b r;
@@ -527,7 +534,9 @@ let w_func b (fn : Func.t) =
       w_term b blk.term)
     fn.blocks
 
-let r_func r : Func.t =
+(* [slots] is what is left of the program's budget of register-table
+   slots (see {!decode}). *)
+let r_func slots r : Func.t =
   let name = r_string r in
   let params =
     r_list r (fun r ->
@@ -561,6 +570,15 @@ let r_func r : Func.t =
       if reg < 0 || reg >= next_reg then
         corrupt r "declared register r%d outside register file" reg)
     reg_list;
+  (* the type table is dense, one slot per register up to the highest
+     declared one, so its size is charged to the program's budget *)
+  let extent =
+    List.fold_left (fun acc (reg, _) -> max acc (reg + 1)) 0 reg_list
+  in
+  if extent > !slots then
+    corrupt r "register tables exceed the budget of %d bytes of input"
+      (String.length r.buf);
+  slots := !slots - extent;
   let annots = r_annots r in
   let loop_annots =
     r_list r (fun r ->
@@ -575,14 +593,12 @@ let r_func r : Func.t =
         let term = r_term r in
         { Func.label; instrs; term })
   in
-  let reg_ty = Hashtbl.create 32 in
-  List.iter (fun (reg, ty) -> Hashtbl.replace reg_ty reg ty) reg_list;
   {
     Func.name;
     params = List.map fst params;
     ret;
     blocks;
-    reg_ty;
+    reg_ty = Func.reg_table extent reg_list;
     next_reg;
     next_label;
     annots;
@@ -644,10 +660,15 @@ let encode (p : Prog.t) : string =
   w_list b w_func p.funcs;
   Buffer.contents b
 
-(** Parse binary bytecode back into a program.
+(** Parse binary bytecode back into a program.  Every function's register
+    types take one dense slot per register up to its highest declared
+    one; together they may take eight slots per input byte, so a short
+    stream cannot make the decoder allocate much more host memory than it
+    spans (the encoder spends at least two bytes per declared register).
     @raise Corrupt on malformed input. *)
 let decode ?(limits = default_limits) (s : string) : Prog.t =
   let r = { buf = s; pos = 0; lim = limits } in
+  let slots = ref (8 * String.length s) in
   if String.length s < 5 || not (String.equal (String.sub s 0 4) magic) then
     corrupt r "bad magic";
   r.pos <- 4;
@@ -662,7 +683,7 @@ let decode ?(limits = default_limits) (s : string) : Prog.t =
     let annots = r_annots r in
     let externs = r_list r r_extern in
     let globals = r_list r r_global in
-    let funcs = r_list r r_func in
+    let funcs = r_list r (r_func slots) in
     if remaining r <> 0 then corrupt r "%d trailing bytes" (remaining r);
     { Prog.pname; globals; funcs; externs; annots }
   with

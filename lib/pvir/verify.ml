@@ -176,7 +176,7 @@ let check_regs_declared (fn : Func.t) =
     (fun r ->
       if r < 0 || r >= fn.next_reg then
         fail "register r%d outside [0, %d) in %s" r fn.next_reg fn.name;
-      if not (Hashtbl.mem fn.reg_ty r) then
+      if not (Func.declared fn r) then
         fail "undeclared register r%d in %s" r fn.name)
     (Func.all_regs fn)
 

@@ -47,7 +47,7 @@ let check_spill_order (fn : Func.t) :
       let rec walk = function
         | [] -> (Valid, Some order)
         | (r, c) :: tl ->
-          if not (Hashtbl.mem fn.reg_ty r) then
+          if not (Func.declared fn r) then
             ( Invalid
                 (Printf.sprintf "spill_order: register r%d not declared in %s"
                    r fn.name),
@@ -73,9 +73,7 @@ let check_spill_order (fn : Func.t) :
     integer. *)
 let check_vectorized (fn : Func.t) : status =
   let has_vector_regs () =
-    Hashtbl.fold
-      (fun _ ty acc -> acc || Types.is_vector ty)
-      fn.reg_ty false
+    Func.fold_regs (fun _ ty acc -> acc || Types.is_vector ty) fn false
   in
   let vec =
     match Annot.find Annot.key_vectorized fn.annots with

@@ -18,7 +18,7 @@ let run ?account ~(machine : Machine.t) ~(resolve_global : string -> int)
     (fn : Pvir.Func.t) : Mir.func =
   Pvir.Account.charge_opt account ~pass:"jit.lower" (Pvir.Func.instr_count fn);
   let vreg_ty = Hashtbl.create 32 in
-  Hashtbl.iter (fun r ty -> Hashtbl.replace vreg_ty r ty) fn.reg_ty;
+  Pvir.Func.fold_regs (fun r ty () -> Hashtbl.replace vreg_ty r ty) fn ();
   let frame_cursor = ref 0 in
   (* calling convention: the first [arg_regs] parameters arrive in
      registers, the rest in frame slots *)

@@ -5,8 +5,12 @@
     every global its address in low memory; global addresses thereby
     become load-time constants, which is what lets the online compiler
     burn them into the generated code, and all it needs.  {!load} adds
-    the memory: it allocates the VM address space and runs the global
-    initializers. *)
+    the memory: it reserves the VM address space and captures the global
+    initializers' bytes, and every error loading can raise it raises
+    here.  The address space is committed (allocated, zeroed and
+    initialized) on first use — an activation of either executor, or a
+    harness access such as {!read_global} — so an image that is compiled
+    for but never run costs no more than its layout and initializers. *)
 
 (** Where a verified program's globals live; no memory exists yet. *)
 type layout = {
@@ -62,9 +66,10 @@ let address (l : layout) name =
   | None -> invalid_arg (Printf.sprintf "Image.address: no global %s" name)
 
 (** [load ?mem_size ?alloc_limit prog] verifies and loads [prog] into a
-    fresh memory.
+    fresh memory of [mem_size] bytes, reserved, not yet committed.
     @raise Pvir.Verify.Error if the bytecode does not verify.
-    @raise Vm.Trap if the globals do not fit in [mem_size] bytes.
+    @raise Vm.Trap if the globals do not fit in [mem_size] bytes, or an
+    initializer does.
     @raise Memory.Limit if [mem_size] exceeds [alloc_limit]
     (default {!Memory.default_alloc_limit}). *)
 let load ?(mem_size = 1 lsl 20) ?alloc_limit (prog : Pvir.Prog.t) : t =
@@ -73,9 +78,11 @@ let load ?(mem_size = 1 lsl 20) ?alloc_limit (prog : Pvir.Prog.t) : t =
     Memory.fault "globals (%d bytes) exceed memory (%d bytes)"
       layout.globals_end mem_size;
   let mem = Memory.create ?alloc_limit mem_size in
+  let inits = ref [] in
   ignore
     (place prog (fun g addr ->
-         Option.iter (Memory.store_array mem addr) g.ginit));
+         Option.iter (fun vs -> inits := (addr, vs) :: !inits) g.ginit));
+  Memory.preset mem (List.rev !inits);
   { prog; mem; layout }
 
 let global_address img name = address img.layout name

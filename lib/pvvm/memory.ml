@@ -9,7 +9,14 @@
     is a configurable resource limit ({!default_alloc_limit} bytes unless
     overridden), so a hostile module that talks a loader into a huge
     address space raises the structured {!Limit} instead of OOM-ing the
-    host device. *)
+    host device.
+
+    {!create} only reserves the address space: the buffer is committed
+    (allocated zeroed, with the {!preset} bytes copied in) on first use.
+    An uncommitted memory holds a zero-length buffer, so the bounds check
+    every access already makes fails on it, and its slow path commits;
+    an engine's hot path pays nothing for laziness.  Commit is
+    unsynchronized: one Domain at a time may use a memory. *)
 
 (** Structured resource-limit trap: the requested allocation exceeds the
     configured cap (distinct from a memory fault, which is an error of
@@ -23,14 +30,18 @@ let fault fmt = Vm.trap ("memory fault: " ^^ fmt)
 let default_alloc_limit = 256 * 1024 * 1024
 
 type t = {
-  bytes : Bytes.t;
+  mutable bytes : Bytes.t;
+      (** the address space once committed, empty until then *)
   size : int;
   null_guard : int;
   alloc_limit : int;  (** the cap this memory was created under *)
+  mutable preset : string;
+      (** the bytes a commit copies to address 0, dropped once committed *)
 }
 
-(** [create ?null_guard ?alloc_limit size] — the first [null_guard] bytes
-    (default 8) are unmapped, so null-pointer dereferences fault.
+(** [create ?null_guard ?alloc_limit size] reserves [size] bytes; the
+    first [null_guard] (default 8) are unmapped, so null-pointer
+    dereferences fault.
     @raise Limit if [size] exceeds [alloc_limit]. *)
 let create ?(null_guard = 8) ?(alloc_limit = default_alloc_limit) size =
   if size <= 0 then invalid_arg "Memory.create: non-positive size";
@@ -42,16 +53,61 @@ let create ?(null_guard = 8) ?(alloc_limit = default_alloc_limit) size =
             size alloc_limit));
   if null_guard < 0 || null_guard >= size then
     invalid_arg "Memory.create: bad null guard";
-  { bytes = Bytes.make size '\000'; size; null_guard; alloc_limit }
+  { bytes = Bytes.empty; size; null_guard; alloc_limit; preset = "" }
 
 let size m = m.size
 
 (** Headroom left under the allocation cap (telemetry). *)
 let alloc_headroom m = m.alloc_limit - m.size
 
-let check m addr len =
-  if addr < m.null_guard || len < 0 || addr + len > m.size then
-    fault "access [%d, %d) outside memory of %d bytes" addr (addr + len) m.size
+(** Allocate the zeroed buffer and copy the preset bytes in, unless that
+    is done already.  Both executors commit on entering an activation, so
+    compiled code, which binds [bytes] once per function, never sees an
+    uncommitted buffer. *)
+let commit m =
+  if Bytes.length m.bytes = 0 then begin
+    let b = Bytes.make m.size '\000' in
+    Bytes.blit_string m.preset 0 b 0 (String.length m.preset);
+    m.bytes <- b;
+    m.preset <- ""
+  end
+
+let outside m addr len = addr < m.null_guard || len < 0 || addr + len > m.size
+
+let fault_outside m addr len =
+  fault "access [%d, %d) outside memory of %d bytes" addr (addr + len) m.size
+
+let[@inline never] check_slow m addr len =
+  if outside m addr len then fault_outside m addr len else commit m
+
+(* The bound is the buffer's length: on an uncommitted memory every
+   access takes the slow path, which faults or commits. *)
+let[@inline] check m addr len =
+  if addr < m.null_guard || len < 0 || addr + len > Bytes.length m.bytes then
+    check_slow m addr len
+
+(** [preset m inits] makes a fresh [m] commit as if each [(addr, vs)] of
+    [inits] were stored by {!store_array} in order, faulting where such a
+    store would, but captures the bytes now and commits nothing.  Later
+    changes to the values in [inits] do not reach [m]. *)
+let preset m (inits : (int * Pvir.Value.t array) list) =
+  let each f =
+    List.iter
+      (fun (addr, vs) ->
+        Array.iteri
+          (fun i v ->
+            let esz = Pvir.Types.size (Pvir.Value.ty v) in
+            f (addr + (i * esz)) esz v)
+          vs)
+      inits
+  in
+  let hi = ref 0 in
+  each (fun a len _ ->
+      if outside m a len then fault_outside m a len;
+      hi := max !hi (a + len));
+  let b = Bytes.make !hi '\000' in
+  each (fun a _ v -> Pvir.Value.write_bytes b a v);
+  m.preset <- Bytes.unsafe_to_string b
 
 (** [load m addr ty] reads a value of type [ty] at byte address [addr]. *)
 let load m addr (ty : Pvir.Types.t) =
@@ -73,13 +129,16 @@ let store m addr (v : Pvir.Value.t) =
 (** Whole-image copy-out, for checkpointing: every byte, including the
     null guard (all zero by construction) — so two memories with equal
     contents produce equal snapshots. *)
-let contents m = Bytes.to_string m.bytes
+let contents m =
+  commit m;
+  Bytes.to_string m.bytes
 
 (** Whole-image copy-in, for restore.  The caller (snapshot validation)
     guarantees the size matches; a mismatch here is a host bug. *)
 let overwrite m s =
   if String.length s <> m.size then
     invalid_arg "Memory.overwrite: image size mismatch";
+  commit m;
   Bytes.blit_string s 0 m.bytes 0 m.size
 
 let fill m ~addr ~len byte =

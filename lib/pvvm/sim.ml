@@ -98,9 +98,11 @@ let cycles t = t.stats.cycles
 let fuel_exn = Vm.Trap fuel_exhausted_msg
 
 (** Seed an activation's context from [t]: counters, [sp] and the fuel
-    budget clamped to an [int].  Only the public entry points enter;
+    budget clamped to an [int], after committing the image's memory, so
+    no engine sees it uncommitted.  Only the public entry points enter;
     activations do not nest. *)
 let enter t : Aotabi.ctx =
+  Memory.commit t.img.Image.mem;
   {
     Aotabi.mem = t.img.Image.mem;
     globals_end = t.img.Image.layout.globals_end;

@@ -91,9 +91,10 @@ let validate (t : Interp.t) (snap : Pvir.Ckpt.t) : unit =
           if r < 0 || r >= fn.Pvir.Func.next_reg then
             invalid "frame %d: register r%d outside %s's register file" i r
               f.ck_fn;
-          match Hashtbl.find_opt fn.Pvir.Func.reg_ty r with
-          | None -> invalid "frame %d: register r%d not declared in %s" i r f.ck_fn
-          | Some ty ->
+          if not (Pvir.Func.declared fn r) then
+            invalid "frame %d: register r%d not declared in %s" i r f.ck_fn
+          else
+            let ty = Pvir.Func.reg_type fn r in
             let vty = Pvir.Value.ty v in
             (* pointer registers hold plain i64 addresses at runtime
                (Gaddr/Alloca produce [Value.i64]) *)

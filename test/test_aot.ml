@@ -72,6 +72,54 @@ let test_compiles_kernels () =
   | Ok (_digest, _origin) -> ()
   | Error r -> Alcotest.failf "kernel %s fell back: %s" k.Kernels.name r
 
+(* Minor words one activation of a zero-argument function allocates on
+   [engine], called directly once a first call has prepared its code. *)
+let activation_words engine =
+  let img = Pvvm.Image.load (Core.Splitc.frontend "i64 nop() { return 7; }") in
+  let it = Pvvm.Interp.create ~engine img in
+  let fn = Option.get (Pvvm.Image.find_func img "nop") in
+  ignore (Pvvm.Interp.call it fn []);
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Pvvm.Interp.call it fn [])
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Compiled code keeps no frame array, so an AOT activation costs less
+   than a threaded one once finding the function's entry allocates
+   nothing. *)
+let test_activation_allocates_less () =
+  let th = activation_words Pvvm.Interp.Threaded in
+  let aot = activation_words Pvvm.Interp.Aot in
+  if not (aot < th) then
+    Alcotest.failf "aot activation %.1f words, threaded %.1f" aot th
+
+(* A host argument of the wrong shape cannot be unboxed by compiled
+   code: the activation runs threaded, with threaded's outcome and
+   counters. *)
+let test_interp_shape_mismatch () =
+  let run engine =
+    let img =
+      Pvvm.Image.load
+        (Core.Splitc.frontend "i64 add(i64 a, i64 b) { return a + b; }")
+    in
+    let it = Pvvm.Interp.create ~engine img in
+    let outcome =
+      match
+        Pvvm.Interp.run it "add" [ Pvir.Value.f64 1.5; Pvir.Value.i64 2L ]
+      with
+      | _ -> "returned"
+      | exception e -> Printexc.to_string e
+    in
+    let st = it.Pvvm.Interp.stats in
+    ( outcome,
+      (st.Pvvm.Interp.cycles, st.Pvvm.Interp.instrs, st.Pvvm.Interp.calls) )
+  in
+  let o0, c0 = run Pvvm.Interp.Threaded and o1, c1 = run Pvvm.Interp.Aot in
+  Alcotest.(check string) "outcome" o0 o1;
+  Alcotest.(check bool) "counters" true (c0 = c1)
+
 let test_table1_kernel (k : Kernels.t) () =
   let th = run_kernel Pvvm.Interp.Threaded k in
   let aot = run_kernel Pvvm.Interp.Aot k in
@@ -549,6 +597,10 @@ let () =
           Alcotest.test_case "toolchain available" `Quick test_available;
           Alcotest.test_case "kernels compile (no fallback)" `Quick
             test_compiles_kernels;
+          Alcotest.test_case "activation allocates less than threaded" `Quick
+            test_activation_allocates_less;
+          Alcotest.test_case "mismatched host arguments run threaded" `Quick
+            test_interp_shape_mismatch;
         ] );
       ( "table1",
         List.map

@@ -586,6 +586,86 @@ let test_traps_release_stack () =
         (fun () -> sim.Pvvm.Sim.sp))
     Pvvm.Vm.engines
 
+(* ---------------- memory committed on first use ---------------- *)
+
+(* [main] reads an initialized global, an uninitialized one and a word
+   far from both, then writes globals and reads them back. *)
+let first_use_src =
+  {|
+i64 init[4] = {11, 22, 33, 44};
+i64 zero[8];
+i64 main() {
+  i64 s = 0;
+  for (i64 i = 0; i < 8; i++) { s = s + zero[i]; }
+  i64* far = (i64*)(i64)65536;
+  s = s + *far;
+  for (i64 i = 0; i < 4; i++) { zero[i] = init[i] * 2; }
+  for (i64 i = 0; i < 8; i++) { s = s + zero[i]; }
+  return init[0] * 1000 + init[3] + s;
+}
+|}
+
+let uncommitted (mem : Pvvm.Memory.t) = Bytes.length mem.Pvvm.Memory.bytes = 0
+
+(* Loading commits no memory; the first activation on each of the six
+   engines commits it, and sees the initializers and zeros. *)
+let test_first_activation () =
+  Pvaot.install ();
+  let expected = Value (Some (Pvir.Value.i64 11264L)) in
+  List.iter
+    (fun engine ->
+      let what k = Printf.sprintf "%s %s" (Pvvm.Vm.engine_name engine) k in
+      let img = Pvvm.Image.load (Core.Splitc.frontend first_use_src) in
+      check (what "interp: loaded uncommitted") true
+        (uncommitted img.Pvvm.Image.mem);
+      let it = Pvvm.Interp.create ~engine img in
+      let o = interp_run it "main" [] in
+      check (what "interp: first run") true (same_outcome o.ir expected);
+      let sim =
+        split_sim ~engine ~machine:Pvmach.Machine.x86ish first_use_src
+      in
+      check (what "sim: loaded uncommitted") true
+        (uncommitted sim.Pvvm.Sim.img.Pvvm.Image.mem);
+      let o = sim_run sim "main" [] in
+      check (what "sim: first run") true (same_outcome o.sr expected))
+    Pvvm.Vm.engines
+
+(* A snapshot restored onto a fresh, uncommitted image resumes exactly as
+   the unmigrated run: same outcome, counters and final globals.  It is
+   taken in the last loop, so its memory carries the globals written. *)
+let test_restore_onto_fresh_image () =
+  Pvaot.install ();
+  let prog = Core.Splitc.frontend first_use_src in
+  List.iter
+    (fun engine ->
+      let what k = Printf.sprintf "%s %s" (Pvvm.Vm.engine_name engine) k in
+      let fresh () = Pvvm.Interp.create ~engine (Pvvm.Image.load prog) in
+      let it = fresh () in
+      let direct = interp_run it "main" [] in
+      let at = Int64.div (Int64.mul direct.iinstrs 7L) 8L in
+      let snap =
+        match Pvvm.Snapshot.run_until (fresh ()) "main" [] ~at with
+        | Pvvm.Snapshot.Checkpointed s -> s
+        | Pvvm.Snapshot.Completed _ -> Alcotest.failf "%s" (what "completed")
+      in
+      let zero = Pvvm.Image.global_address it.Pvvm.Interp.img "zero" in
+      check (what "the snapshot carries a written global") true
+        (String.get_int64_le snap.Pvir.Ckpt.ck_mem zero = 22L);
+      let moved = Pvvm.Snapshot.interp_for ~engine prog snap in
+      check (what "fresh image uncommitted") true
+        (uncommitted moved.Pvvm.Interp.img.Pvvm.Image.mem);
+      let resumed =
+        interp_observe moved
+          (outcome_of (fun () -> Pvvm.Snapshot.resume moved snap))
+      in
+      check (what "resumes as the unmigrated run") true
+        (interp_obs_equal direct resumed);
+      check (what "same final globals") true
+        (Array.for_all2 Pvir.Value.equal
+           (Pvvm.Image.read_global it.Pvvm.Interp.img "zero")
+           (Pvvm.Image.read_global moved.Pvvm.Interp.img "zero")))
+    Pvvm.Vm.engines
+
 (* ---------------- exact kernel cycle parity ---------------- *)
 
 let test_kernel_cycle_parity () =
@@ -655,5 +735,12 @@ let () =
         [
           Alcotest.test_case "table-1 kernels: exact cycle parity" `Quick
             test_kernel_cycle_parity;
+        ] );
+      ( "first use",
+        [
+          Alcotest.test_case "first activation on every engine" `Quick
+            test_first_activation;
+          Alcotest.test_case "snapshot restored onto a fresh image" `Quick
+            test_restore_onto_fresh_image;
         ] );
     ]

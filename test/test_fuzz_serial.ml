@@ -96,6 +96,43 @@ let test_all_truncations () =
       done)
     corpus
 
+(* A function that declares one register just under [max_regs] takes a
+   few dozen bytes but a dense type table of a million slots (8 MiB).  The
+   decoder refuses it: a program's tables may take eight slots per input
+   byte, and the encoder spends at least two bytes per declared register,
+   so a dense function of many registers still decodes. *)
+let test_register_tables_bounded () =
+  let func ~name ~regs =
+    let fn = Pvir.Func.create ~name ~params:[] ~ret:(Some Pvir.Types.i64) in
+    let last = List.fold_left max 0 regs in
+    fn.Pvir.Func.next_reg <- last + 1;
+    List.iter (fun r -> Pvir.Func.set_reg_type fn r Pvir.Types.i64) regs;
+    let b = Pvir.Func.add_block fn in
+    b.Pvir.Func.instrs <- [ Pvir.Instr.Const (last, Pvir.Value.i64 1L) ];
+    b.Pvir.Func.term <- Pvir.Instr.Ret (Some last);
+    let p = Pvir.Prog.create name in
+    Pvir.Prog.add_func p fn;
+    Pvir.Serial.encode p
+  in
+  let dense = func ~name:"dense" ~regs:(List.init 4096 Fun.id) in
+  (match Pvir.Serial.decode_result dense with
+  | Ok p ->
+    let fn = List.hd p.Pvir.Prog.funcs in
+    Alcotest.(check bool) "every register declared" true
+      (List.for_all (Pvir.Func.declared fn) (List.init 4096 Fun.id))
+  | Error c ->
+    Alcotest.failf "a dense function of 4096 registers refused: %s"
+      (Pvir.Serial.corruption_to_string c));
+  let top = Pvir.Serial.default_limits.Pvir.Serial.max_regs - 1 in
+  let wide = func ~name:"wide" ~regs:[ top ] in
+  match Pvir.Serial.decode_result wide with
+  | Ok _ ->
+    Alcotest.failf "%d bytes decoded into a table of a million slots"
+      (String.length wide)
+  | Error { Pvir.Serial.reason; _ } ->
+    Alcotest.(check bool) "refused for its register table" true
+      (String.length reason >= 15 && String.sub reason 0 15 = "register tables")
+
 let () =
   Alcotest.run "fuzz_serial"
     [
@@ -114,5 +151,7 @@ let () =
             test_corpus_roundtrips;
           Alcotest.test_case "every truncation is handled" `Quick
             test_all_truncations;
+          Alcotest.test_case "register tables bounded by the input" `Quick
+            test_register_tables_bounded;
         ] );
     ]

@@ -342,6 +342,43 @@ let test_verify_rejects_reg_out_of_range () =
     Alcotest.(check string)
       "error names the register" "register r0 outside [0, 0) in bad" m
 
+(* A register inside [0, next_reg) that no declaration types is still
+   refused where it is used, whether the function was built, or parsed
+   with a hole in its declarations. *)
+let test_verify_rejects_undeclared_hole () =
+  let expect what p =
+    match Verify.program p with
+    | () ->
+      Alcotest.failf "%s: the verifier accepted an undeclared register" what
+    | exception Verify.Error m ->
+      check string_t (what ^ ": error names the hole")
+        "undeclared register r1 in holey" m
+  in
+  let fn = Func.create ~name:"holey" ~params:[] ~ret:(Some Types.i64) in
+  let blk = Func.add_block fn in
+  let a = Func.fresh_reg fn Types.i64 in
+  fn.next_reg <- 3;
+  Func.set_reg_type fn 2 Types.i64;
+  blk.instrs <-
+    [ Instr.Const (a, Value.i64 1L); Instr.Binop (Instr.Add, 2, a, 1) ];
+  blk.term <- Instr.Ret (Some 2);
+  let p = Prog.create "t" in
+  Prog.add_func p fn;
+  expect "built" p;
+  expect "parsed"
+    (Parse.program
+       {|program "t"
+
+func @holey() : i64 {
+  reg r0 : i64
+  reg r2 : i64
+  block 0:
+    r0 = const 1:i64
+    r2 = add r0, r1
+    ret r2
+}
+|})
+
 (* ---------------- instruction metadata ---------------- *)
 
 let test_instr_def_uses () =
@@ -389,6 +426,45 @@ let sample_program () =
     (Annot.add Annot.key_trip_count (Annot.Int 100) Annot.empty);
   Prog.add_func p fn;
   p
+
+(* ---------------- register types ---------------- *)
+
+(* Words [fn]'s register types take beyond what [shared] reaches already:
+   the type table itself, and any type value it does not share. *)
+let type_words (fn : Func.t) shared =
+  Obj.reachable_words (Obj.repr (fn.Func.reg_ty, shared))
+  - Obj.reachable_words (Obj.repr ((), shared))
+
+let test_copy_is_independent () =
+  let fn = build_valid_func () in
+  let before = List.map (Func.reg_type fn) (Func.all_regs fn) in
+  let c = Func.copy fn in
+  Func.set_reg_type c 0 Types.f64;
+  ignore (Func.fresh_reg c Types.i8);
+  check bool_t "the original keeps its types" true
+    (List.for_all2 Types.equal before
+       (List.map (Func.reg_type fn) (Func.all_regs fn)));
+  check bool_t "the copy has its own" true
+    (Types.equal (Func.reg_type c 0) Types.f64)
+
+(* One word per register: a decoded or copied function of N registers
+   holds its types in N slots and a header, with every scalar and pointer
+   type a value shared with the other decodes and copies. *)
+let test_register_types_take_one_word () =
+  let bin = Serial.encode (sample_program ()) in
+  let decoded () = Prog.find_func_exn (Serial.decode bin) "f" in
+  let d1 = decoded () and d2 = decoded () in
+  let n = d1.Func.next_reg in
+  check bool_t "the sample has registers" true (n > 3);
+  let bound what words =
+    if words > n + 2 then
+      Alcotest.failf "%s function of %d registers: types take %d words" what n
+        words
+  in
+  bound "a decoded" (type_words d2 d1.Func.reg_ty);
+  bound "a copied" (type_words (Func.copy d1) d1.Func.reg_ty);
+  let built = build_valid_func () in
+  bound "a copied built" (type_words (Func.copy built) built.Func.reg_ty)
 
 let test_binary_roundtrip () =
   let p = sample_program () in
@@ -516,6 +592,15 @@ let () =
           Alcotest.test_case "register out of range" `Quick
             test_verify_rejects_reg_out_of_range;
           Alcotest.test_case "bad extract lane" `Quick test_verify_rejects_extract_lane;
+          Alcotest.test_case "undeclared hole" `Quick
+            test_verify_rejects_undeclared_hole;
+        ] );
+      ( "register types",
+        [
+          Alcotest.test_case "copy is independent" `Quick
+            test_copy_is_independent;
+          Alcotest.test_case "one word per register" `Quick
+            test_register_types_take_one_word;
         ] );
       ( "instructions",
         [

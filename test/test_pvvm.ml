@@ -90,6 +90,75 @@ let test_image_oom () =
       "memory fault: globals (1608 bytes) exceed memory (1024 bytes)" m
   | _ -> Alcotest.fail "oversized initialized globals loaded"
 
+(* ---------------- memory committed on first use ---------------- *)
+
+(* A program with a few small globals, one of them initialized. *)
+let small_globals () =
+  let p = Pvir.Prog.create "t" in
+  Pvir.Prog.add_global p "a" Pvir.Types.I32 10;
+  Pvir.Prog.add_global p "b" Pvir.Types.I64 3
+    ~init:[| Pvir.Value.i64 5L; Pvir.Value.i64 6L; Pvir.Value.i64 7L |];
+  p
+
+(* Loading reserves the 1 MiB address space but allocates none of it:
+   an image that is only compiled for costs its layout and initializers. *)
+let test_load_commits_nothing () =
+  let img = Pvvm.Image.load (small_globals ()) in
+  let words = Obj.reachable_words (Obj.repr img.Pvvm.Image.mem) in
+  if words >= 1024 then
+    Alcotest.failf "a never-run image holds %d words of memory" words;
+  check int_t "the reserved size is reported" (1 lsl 20)
+    (Pvvm.Memory.size img.Pvvm.Image.mem);
+  check int_t "the stack starts at the top of the reserved space" (1 lsl 20)
+    (Pvvm.Image.initial_sp img)
+
+(* Every error loading raises, it raises at load, memory or no memory
+   (oversized globals and verify errors: [globals too big] and
+   [verification gate]). *)
+let test_load_errors_stay_at_load () =
+  let p = small_globals () in
+  (match Pvvm.Image.load ~mem_size:8192 ~alloc_limit:4096 p with
+  | exception Pvvm.Memory.Limit _ -> ()
+  | _ -> Alcotest.fail "a memory over the allocation cap loaded");
+  (* an in-memory initializer longer than its global (the decoder and
+     [Prog.add_global] refuse one) runs past the memory's end *)
+  let p = Pvir.Prog.create "t" in
+  p.Pvir.Prog.globals <-
+    [
+      {
+        Pvir.Prog.gname = "g";
+        gelem = Pvir.Types.I64;
+        gcount = 1;
+        ginit = Some (Array.make 200 (Pvir.Value.i64 1L));
+        gannots = Pvir.Annot.empty;
+      };
+    ];
+  match Pvvm.Image.load ~mem_size:1024 p with
+  | exception Pvvm.Vm.Trap m ->
+    check Alcotest.string "the initializer's fault"
+      "memory fault: access [1024, 1032) outside memory of 1024 bytes" m
+  | _ -> Alcotest.fail "an initializer past the memory's end loaded"
+
+(* The first use sees the initializers as they were at load, and zeros
+   everywhere else. *)
+let test_first_use_sees_initializers () =
+  let p = small_globals () in
+  let img = Pvvm.Image.load p in
+  (match p.Pvir.Prog.globals with
+  | _ :: { Pvir.Prog.ginit = Some vs; _ } :: _ -> vs.(0) <- Pvir.Value.i64 99L
+  | _ -> assert false);
+  check bool_t "initializers as loaded" true
+    (Array.for_all2 Pvir.Value.equal
+       [| Pvir.Value.i64 5L; Pvir.Value.i64 6L; Pvir.Value.i64 7L |]
+       (Pvvm.Image.read_global img "b"));
+  check bool_t "uninitialized globals read zero" true
+    (Array.for_all
+       (Pvir.Value.equal (Pvir.Value.i32 0))
+       (Pvvm.Image.read_global img "a"));
+  check bool_t "and so does the rest of memory" true
+    (Pvir.Value.equal (Pvir.Value.i64 0L)
+       (Pvvm.Memory.load img.Pvvm.Image.mem ((1 lsl 20) - 8) Pvir.Types.i64))
+
 (* ---------------- interpreter ---------------- *)
 
 let interp src entry args =
@@ -216,6 +285,12 @@ let () =
           Alcotest.test_case "layout" `Quick test_image_layout;
           Alcotest.test_case "verification gate" `Quick test_image_rejects_ill_typed;
           Alcotest.test_case "globals too big" `Quick test_image_oom;
+          Alcotest.test_case "load commits no memory" `Quick
+            test_load_commits_nothing;
+          Alcotest.test_case "load errors stay at load" `Quick
+            test_load_errors_stay_at_load;
+          Alcotest.test_case "first use sees the initializers" `Quick
+            test_first_use_sees_initializers;
         ] );
       ( "interp",
         [
