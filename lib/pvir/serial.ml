@@ -570,15 +570,16 @@ let r_func slots r : Func.t =
       if reg < 0 || reg >= next_reg then
         corrupt r "declared register r%d outside register file" reg)
     reg_list;
-  (* the type table is dense, one slot per register up to the highest
-     declared one, so its size is charged to the program's budget *)
+  (* every frame of this function allocates [next_reg] slots, and the type
+     table is dense up to the highest declared register, below [next_reg]:
+     [next_reg] is what is charged to the program's budget *)
+  if next_reg > !slots then
+    corrupt r "register tables exceed the budget of %d bytes of input"
+      (String.length r.buf);
+  slots := !slots - next_reg;
   let extent =
     List.fold_left (fun acc (reg, _) -> max acc (reg + 1)) 0 reg_list
   in
-  if extent > !slots then
-    corrupt r "register tables exceed the budget of %d bytes of input"
-      (String.length r.buf);
-  slots := !slots - extent;
   let annots = r_annots r in
   let loop_annots =
     r_list r (fun r ->
@@ -660,11 +661,13 @@ let encode (p : Prog.t) : string =
   w_list b w_func p.funcs;
   Buffer.contents b
 
-(** Parse binary bytecode back into a program.  Every function's register
-    types take one dense slot per register up to its highest declared
-    one; together they may take eight slots per input byte, so a short
-    stream cannot make the decoder allocate much more host memory than it
-    spans (the encoder spends at least two bytes per declared register).
+(** Parse binary bytecode back into a program.  Every function claims
+    [next_reg] register slots: each interpreter frame allocates that many,
+    and its dense type table ends below it.  A program's functions may
+    claim eight slots per input byte in all, so a short stream cannot make
+    the decoder, or a call into what it decodes, allocate much more host
+    memory than it spans.  What the toolchain emits declares every
+    register below [next_reg], at two or more bytes each, so it fits.
     @raise Corrupt on malformed input. *)
 let decode ?(limits = default_limits) (s : string) : Prog.t =
   let r = { buf = s; pos = 0; lim = limits } in

@@ -180,9 +180,9 @@ let check_regs_declared (fn : Func.t) =
         fail "undeclared register r%d in %s" r fn.name)
     (Func.all_regs fn)
 
+(* Runs once {!program} has checked every function's registers. *)
 let check_func p (fn : Func.t) =
   if fn.blocks = [] then fail "function %s has no blocks" fn.name;
-  check_regs_declared fn;
   let labels = List.map (fun (b : Func.block) -> b.label) fn.blocks in
   let sorted = List.sort compare labels in
   let rec dup = function

@@ -15,6 +15,3 @@ val program : Prog.t -> unit
 
 (** [Ok ()] or [Error message]. *)
 val program_result : Prog.t -> (unit, string) result
-
-(** Verify a single function in the context of [p] (exposed for tests). *)
-val check_func : Prog.t -> Func.t -> unit

@@ -12,18 +12,6 @@
 
 open Pvir
 
-let count_uses (fn : Func.t) =
-  let counts = Hashtbl.create 64 in
-  let bump r =
-    Hashtbl.replace counts r (1 + try Hashtbl.find counts r with Not_found -> 0)
-  in
-  Func.iter_blocks
-    (fun b ->
-      List.iter (fun i -> List.iter bump (Instr.uses i)) b.instrs;
-      List.iter bump (Instr.term_uses b.term))
-    fn;
-  counts
-
 let forward_block (b : Func.block) : bool =
   let changed = ref false in
   (* current copy map: dst -> src *)
@@ -74,14 +62,14 @@ let forward_block (b : Func.block) : bool =
   !changed
 
 let backward_coalesce (fn : Func.t) : bool =
-  let uses = count_uses fn in
+  let uses = Census.uses fn fn.blocks in
   let changed = ref false in
   Func.iter_blocks
     (fun b ->
       let rec go = function
         | i :: Instr.Mov (x, t) :: rest
           when Instr.def i = Some t
-               && (try Hashtbl.find uses t with Not_found -> 0) = 1
+               && Census.count uses t = 1
                && t <> x
                && not (List.mem t (Instr.uses i))
                && Types.equal (Func.reg_type fn t) (Func.reg_type fn x) ->

@@ -21,12 +21,12 @@ let minmax_of (rel : Instr.relop) ~(takes_lhs : bool) : Instr.binop option =
     Some Instr.Umin
   | (Instr.Eq | Instr.Ne), _ -> None
 
-let run_block (fn : Func.t) (b : Func.block) : bool =
+(* [uses] counts the uses of each register in the whole function, to make
+   sure the compare result is used only by the select we fuse; a changed
+   block is re-tallied, so the next block sees the counts of the function
+   as it now stands *)
+let run_block (fn : Func.t) (uses : Census.t) (b : Func.block) : bool =
   let changed = ref false in
-  (* count uses of each register in the function to make sure the compare
-     result is used only by the select we fuse *)
-  let uses = Copyprop.count_uses fn in
-  let use_count r = try Hashtbl.find uses r with Not_found -> 0 in
   (* the compare and its select need not be adjacent (if-conversion puts
      speculated arm code in between): track the last compare defining each
      register, invalidated when any of its registers is redefined *)
@@ -48,7 +48,7 @@ let run_block (fn : Func.t) (b : Func.block) : bool =
       match i with
       | Instr.Select (d, c, a, b') -> (
         match Hashtbl.find_opt pending c with
-        | Some (rel, x, y) when use_count c = 1 -> (
+        | Some (rel, x, y) when Census.count uses c = 1 -> (
           let float_operands = Types.is_float (Func.reg_type fn x) in
           let signed_ok op =
             (* floats only have the ordered predicates; min/max = fmin/fmax *)
@@ -79,7 +79,8 @@ let run_block (fn : Func.t) (b : Func.block) : bool =
     | _ -> ());
     i'
   in
-  let rewritten = List.map rewrite b.instrs in
+  let before = b.instrs in
+  let rewritten = List.map rewrite before in
   (* drop the compares consumed by fusion (their only use is gone) *)
   b.instrs <-
     List.filter
@@ -88,8 +89,10 @@ let run_block (fn : Func.t) (b : Func.block) : bool =
         | Instr.Cmp (_, c, _, _) -> not (Hashtbl.mem fused_cmps c)
         | _ -> true)
       rewritten;
+  if !changed then Census.retally uses ~before ~after:b.instrs;
   !changed
 
 let run ?account (fn : Func.t) : bool =
   Account.charge_opt account ~pass:"idiom" (Func.instr_count fn);
-  List.fold_left (fun acc b -> run_block fn b || acc) false fn.blocks
+  let uses = Census.uses fn fn.blocks in
+  List.fold_left (fun acc b -> run_block fn uses b || acc) false fn.blocks

@@ -31,56 +31,43 @@ let max_arm_instrs = 8
    registers provably hold the same value when their defining expressions
    match (constants, global addresses, pure operator trees).  Used to
    recognize an arm load as a *re*-load of an address already dereferenced
-   in the dominating block. *)
-let same_value (fn : Func.t) =
-  let def_count = Hashtbl.create 32 in
-  let def_of = Hashtbl.create 32 in
-  Func.iter_instrs
-    (fun _ i ->
-      Option.iter
-        (fun d ->
-          Hashtbl.replace def_count d
-            (1 + try Hashtbl.find def_count d with Not_found -> 0);
-          Hashtbl.replace def_of d i)
-        (Instr.def i))
-    fn;
-  let single d = (try Hashtbl.find def_count d with Not_found -> 0) = 1 in
+   in the dominating block.  [singles] is [fn]'s {!Census.single_defs}. *)
+let same_value (fn : Func.t) singles =
   let rec same a b =
     a = b
-    || single a && single b
-       &&
-       match (Hashtbl.find_opt def_of a, Hashtbl.find_opt def_of b) with
-       | Some (Instr.Gaddr (_, g1)), Some (Instr.Gaddr (_, g2)) ->
-         String.equal g1 g2
-       | Some (Instr.Const (_, v1)), Some (Instr.Const (_, v2)) ->
-         Value.equal v1 v2
-       | Some (Instr.Mov (_, x)), _ -> same x b
-       | _, Some (Instr.Mov (_, y)) -> same a y
-       | Some (Instr.Binop (op1, _, x1, y1)), Some (Instr.Binop (op2, _, x2, y2))
-         -> op1 = op2 && same x1 x2 && same y1 y2
-       | Some (Instr.Conv (k1, _, x1)), Some (Instr.Conv (k2, _, x2)) ->
-         k1 = k2 && same x1 x2
-         && Types.equal (Func.reg_type fn a) (Func.reg_type fn b)
-       | _ -> false
+    ||
+    match (Census.find singles a, Census.find singles b) with
+    | Some (Instr.Gaddr (_, g1)), Some (Instr.Gaddr (_, g2)) ->
+      String.equal g1 g2
+    | Some (Instr.Const (_, v1)), Some (Instr.Const (_, v2)) ->
+      Value.equal v1 v2
+    | Some (Instr.Mov (_, x)), Some _ -> same x b
+    | Some _, Some (Instr.Mov (_, y)) -> same a y
+    | Some (Instr.Binop (op1, _, x1, y1)), Some (Instr.Binop (op2, _, x2, y2))
+      -> op1 = op2 && same x1 x2 && same y1 y2
+    | Some (Instr.Conv (k1, _, x1)), Some (Instr.Conv (k2, _, x2)) ->
+      k1 = k2 && same x1 x2
+      && Types.equal (Func.reg_type fn a) (Func.reg_type fn b)
+    | _ -> false
   in
   same
 
 (* a load in an arm is speculation-safe when the same location was already
    loaded in the dominating block [a] and nothing in [a] writes memory *)
-let arm_load_safe fn (a : Func.block) =
+let arm_load_safe fn singles (a : Func.block) =
   let writes =
     List.exists
       (fun i -> match i with Instr.Store _ | Instr.Call _ -> true | _ -> false)
       a.instrs
   in
-  let same = same_value fn in
   fun (ty : Types.t) base off ->
     (not writes)
     && List.exists
          (fun i ->
            match i with
            | Instr.Load (ty', _, base', off') ->
-             Types.equal ty ty' && off = off' && same base base'
+             Types.equal ty ty' && off = off'
+             && same_value fn (Lazy.force singles) base base'
            | _ -> false)
          a.instrs
 
@@ -106,21 +93,15 @@ let self_referential (i : Instr.t) =
   | Some d -> List.mem d (Instr.uses i)
   | None -> false
 
-(* registers used anywhere outside the two arm blocks (these are the ones
+(* registers used anywhere outside the arm blocks (these are the ones
    whose merged value needs a select; arm-local temps stay dead and are
    cleaned by DCE) *)
 let used_outside (fn : Func.t) ~(arms : int list) =
-  let used = Hashtbl.create 16 in
-  List.iter
-    (fun (blk : Func.block) ->
-      if not (List.mem blk.label arms) then begin
-        List.iter
-          (fun i -> List.iter (fun r -> Hashtbl.replace used r ()) (Instr.uses i))
-          blk.instrs;
-        List.iter (fun r -> Hashtbl.replace used r ()) (Instr.term_uses blk.term)
-      end)
-    fn.blocks;
-  used
+  let uses =
+    Census.uses fn
+      (List.filter (fun (blk : Func.block) -> not (List.mem blk.label arms)) fn.blocks)
+  in
+  fun r -> Census.count uses r > 0
 
 (* clone an arm's instructions, renaming every def to a fresh register;
    returns (cloned instrs, def map old->new) *)
@@ -147,12 +128,16 @@ let clone_arm (fn : Func.t) (instrs : Instr.t list) =
   in
   (cloned, map)
 
-(* try to convert the diamond rooted at block [a]; true if converted *)
-let convert_at (fn : Func.t) (cfg : Cfg.t) (a : Func.block) : bool =
+(* try to convert the diamond rooted at block [a]; true if converted.  [fn]
+   changes only then, so [singles], its {!Census.single_defs}, holds until
+   a conversion *)
+let convert_at (fn : Func.t) (cfg : Cfg.t) singles (a : Func.block) : bool =
   match a.term with
   | Instr.Cbr (c, bl, cl) when bl <> cl -> (
     let b = Func.find_block fn bl and cb = Func.find_block fn cl in
-    let speculation_safe = speculation_safe ~load_safe:(arm_load_safe fn a) in
+    let speculation_safe =
+      speculation_safe ~load_safe:(arm_load_safe fn singles a)
+    in
     let single_pred (blk : Func.block) =
       match Cfg.preds cfg blk.label with [ p ] -> p = a.label | _ -> false
     in
@@ -177,7 +162,7 @@ let convert_at (fn : Func.t) (cfg : Cfg.t) (a : Func.block) : bool =
       let selects =
         Hashtbl.fold
           (fun d () acc ->
-            if not (Hashtbl.mem live d) then acc
+            if not (live d) then acc
             else
               let vb = match Hashtbl.find_opt map_b d with Some r -> r | None -> d in
               let vc = match Hashtbl.find_opt map_c d with Some r -> r | None -> d in
@@ -202,7 +187,7 @@ let convert_at (fn : Func.t) (cfg : Cfg.t) (a : Func.block) : bool =
       let selects =
         Hashtbl.fold
           (fun d d' acc ->
-            if Hashtbl.mem live d then Instr.Select (d, c, d', d) :: acc else acc)
+            if live d then Instr.Select (d, c, d', d) :: acc else acc)
           map_b []
         |> List.sort compare
       in
@@ -221,7 +206,7 @@ let convert_at (fn : Func.t) (cfg : Cfg.t) (a : Func.block) : bool =
       let selects =
         Hashtbl.fold
           (fun d d' acc ->
-            if Hashtbl.mem live d then Instr.Select (d, c, d, d') :: acc else acc)
+            if live d then Instr.Select (d, c, d, d') :: acc else acc)
           map_c []
         |> List.sort compare
       in
@@ -240,7 +225,8 @@ let run ?account (fn : Func.t) : bool =
   while !continue_ && !rounds < 8 do
     incr rounds;
     let cfg = Cfg.build fn in
-    let did = List.exists (fun b -> convert_at fn cfg b) fn.blocks in
+    let singles = lazy (Census.single_defs fn) in
+    let did = List.exists (fun b -> convert_at fn cfg singles b) fn.blocks in
     if did then changed := true else continue_ := false
   done;
   !changed

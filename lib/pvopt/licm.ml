@@ -20,20 +20,6 @@ let hoist_loop (fn : Func.t) (lp : Loops.loop) : int option =
   if outside_preds = [] then None
   else begin
     let defs = Loops.defs_in fn lp in
-    (* count defs per register inside the loop *)
-    let def_count = Hashtbl.create 16 in
-    List.iter
-      (fun l ->
-        let b = Func.find_block fn l in
-        List.iter
-          (fun i ->
-            Option.iter
-              (fun d ->
-                Hashtbl.replace def_count d
-                  (1 + try Hashtbl.find def_count d with Not_found -> 0))
-              (Instr.def i))
-          b.instrs)
-      lp.blocks;
     let live_into_header =
       let pos =
         List.find_index (fun (b : Func.block) -> b.label = lp.header) fn.blocks
@@ -57,7 +43,7 @@ let hoist_loop (fn : Func.t) (lp : Loops.loop) : int option =
               when (not (Instr.has_side_effect i))
                    && (not (Instr.reads_memory i))
                    && List.for_all is_invariant_reg (Instr.uses i)
-                   && (try Hashtbl.find def_count d with Not_found -> 0) = 1
+                   && Census.count defs d = 1
                    && not (Liveness.mem live_into_header d) ->
               Hashtbl.replace invariant d ();
               hoistable := i :: !hoistable

@@ -75,74 +75,39 @@ let depth_of_block (t : t) l =
 
 let in_loop lp l = List.mem l lp.blocks
 
-(** Registers defined anywhere inside the loop. *)
+(** How many times each register is defined inside the loop. *)
 let defs_in (fn : Func.t) (lp : loop) =
-  let defs = Hashtbl.create 16 in
-  List.iter
-    (fun l ->
-      let b = Func.find_block fn l in
-      List.iter
-        (fun i -> Option.iter (fun d -> Hashtbl.replace defs d ()) (Instr.def i))
-        b.instrs)
-    lp.blocks;
-  defs
+  Census.defs fn (List.map (Func.find_block fn) lp.blocks)
 
-(** Is register [r] invariant in [lp] (never defined inside)? *)
-let invariant_reg defs r = not (Hashtbl.mem defs r)
+(** Is register [r] invariant in [lp] (never defined inside), by
+    [lp]'s {!defs_in}? *)
+let invariant_reg defs r = Census.count defs r = 0
 
 (** Induction variable: a register [i] with exactly one definition inside
     the loop, of the shape [i = add i, c] with [c] a constant; returns
     [(i, step, increment_block)] candidates. *)
 let induction_variables (fn : Func.t) (lp : loop) :
     (Instr.reg * int64 * int) list =
-  (* registers holding known integer constants: defined exactly once in
-     the whole function, by a Const (LICM may have hoisted the step
-     constant out of the loop) *)
-  let const_of = Hashtbl.create 16 in
-  let fun_defs = Hashtbl.create 16 in
-  Func.iter_instrs
-    (fun _ i ->
-      Option.iter
-        (fun d ->
-          Hashtbl.replace fun_defs d
-            (1 + try Hashtbl.find fun_defs d with Not_found -> 0))
-        (Instr.def i))
-    fn;
-  Func.iter_instrs
-    (fun _ i ->
-      match i with
-      | Instr.Const (d, Value.Int (_, v))
-        when (try Hashtbl.find fun_defs d with Not_found -> 0) = 1 ->
-        Hashtbl.replace const_of d v
-      | _ -> ())
-    fn;
-  let defs_count = Hashtbl.create 16 in
+  let consts = Census.consts (Census.single_defs fn) in
+  let const_of r = Census.find consts r in
   let candidates = ref [] in
   List.iter
     (fun l ->
-      let b = Func.find_block fn l in
       List.iter
         (fun i ->
-          Option.iter
-            (fun d ->
-              let c = try Hashtbl.find defs_count d with Not_found -> 0 in
-              Hashtbl.replace defs_count d (c + 1))
-            (Instr.def i);
           match i with
           | Instr.Binop (Instr.Add, d, a, b') when d = a -> (
-            match Hashtbl.find_opt const_of b' with
+            match const_of b' with
             | Some step -> candidates := (d, step, l) :: !candidates
             | None -> ())
           | Instr.Binop (Instr.Add, d, a, b') when d = b' -> (
-            match Hashtbl.find_opt const_of a with
+            match const_of a with
             | Some step -> candidates := (d, step, l) :: !candidates
             | None -> ())
           | _ -> ())
-        b.instrs)
+        (Func.find_block fn l).instrs)
     lp.blocks;
-  List.filter
-    (fun (r, _, _) ->
-      (* exactly one def inside the loop: the increment itself... note the
-         Const feeding the step counts separately *)
-      (try Hashtbl.find defs_count r with Not_found -> 0) = 1)
-    !candidates
+  (* exactly one def inside the loop: the increment itself (the Const
+     feeding the step counts separately) *)
+  let defs = defs_in fn lp in
+  List.filter (fun (r, _, _) -> Census.count defs r = 1) !candidates

@@ -35,7 +35,7 @@ let latch_increment (fn : Func.t) (lp : Loops.loop) ivs =
 
 let run_loop (fn : Func.t) (cfg : Cfg.t) (lp : Loops.loop) : bool =
   let defs = Loops.defs_in fn lp in
-  let consts = Vectorize.function_consts fn in
+  let consts = Census.consts (Census.single_defs fn) in
   let ivs = Loops.induction_variables fn lp in
   match latch_increment fn lp ivs with
   | None -> false
@@ -46,18 +46,12 @@ let run_loop (fn : Func.t) (cfg : Cfg.t) (lp : Loops.loop) : bool =
     if outside_preds = [] then false
     else begin
       (* registers used outside the loop must not become derived IVs *)
-      let used_outside = Hashtbl.create 8 in
-      List.iter
-        (fun (b : Func.block) ->
-          if not (Loops.in_loop lp b.label) then (
-            List.iter
-              (fun i ->
-                List.iter (fun r -> Hashtbl.replace used_outside r ()) (Instr.uses i))
-              b.instrs;
-            List.iter
-              (fun r -> Hashtbl.replace used_outside r ())
-              (Instr.term_uses b.term)))
-        fn.blocks;
+      let used_outside =
+        Census.uses fn
+          (List.filter
+             (fun (b : Func.block) -> not (Loops.in_loop lp b.label))
+             fn.blocks)
+      in
       (* muls of the IV by a constant, defined inside the loop *)
       let scaled = Hashtbl.create 4 in
       List.iter
@@ -67,7 +61,7 @@ let run_loop (fn : Func.t) (cfg : Cfg.t) (lp : Loops.loop) : bool =
               match i with
               | Instr.Binop (Instr.Mul, m, a, b) when a = iv || b = iv -> (
                 let other = if a = iv then b else a in
-                match Hashtbl.find_opt consts other with
+                match Census.find consts other with
                 | Some c -> Hashtbl.replace scaled m c
                 | None -> ())
               | _ -> ())
@@ -78,19 +72,6 @@ let run_loop (fn : Func.t) (cfg : Cfg.t) (lp : Loops.loop) : bool =
       let scale_of r =
         if r = iv then Some 1L else Hashtbl.find_opt scaled r
       in
-      (* only rewrite registers with a single definition in the loop *)
-      let def_count = Hashtbl.create 16 in
-      List.iter
-        (fun l ->
-          List.iter
-            (fun i ->
-              Option.iter
-                (fun d ->
-                  Hashtbl.replace def_count d
-                    (1 + try Hashtbl.find def_count d with Not_found -> 0))
-                (Instr.def i))
-            (Func.find_block fn l).instrs)
-        lp.blocks;
       let pre = ref [] in
       let post_incr = ref [] in
       let changed = ref false in
@@ -101,11 +82,11 @@ let run_loop (fn : Func.t) (cfg : Cfg.t) (lp : Loops.loop) : bool =
             List.filter
               (fun i ->
                 match i with
+                (* only registers with a single definition in the loop *)
                 | Instr.Binop (Instr.Add, addr, x, y)
                   when addr <> iv
-                       && (not (Hashtbl.mem used_outside addr))
-                       && (try Hashtbl.find def_count addr with Not_found -> 0)
-                          = 1 -> (
+                       && Census.count used_outside addr = 0
+                       && Census.count defs addr = 1 -> (
                   let classify inv idx =
                     if
                       Loops.invariant_reg defs inv

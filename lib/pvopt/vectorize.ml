@@ -132,22 +132,19 @@ type body_info = {
   min_esz : int;  (** smallest element size touched *)
 }
 
-let origin_of (fn : Func.t) (prog : Prog.t) (defs : (Instr.reg, unit) Hashtbl.t)
-    (base : Instr.reg) : origin =
-  ignore prog;
-  (* find the unique reaching definition outside the loop, best effort *)
-  let def = ref Ounknown in
-  let count = ref 0 in
-  Func.iter_instrs
-    (fun _ i ->
-      match Instr.def i with
-      | Some d when d = base ->
-        incr count;
-        (match i with Instr.Gaddr (_, g) -> def := Oglobal g | _ -> ())
-      | _ -> ())
-    fn;
-  if Hashtbl.mem defs base then Ounknown
-  else if !count = 0 then (
+(* The definitions [classify_body] counts once, for all the memory
+   operations of a loop: the function's and the loop's. *)
+type census = {
+  fn_defs : Census.t;
+  singles : Instr.t option array;  (** {!Census.single_defs} *)
+  consts : int64 option array;  (** {!Census.consts} *)
+  loop_defs : Census.t;  (** {!Loops.defs_in} *)
+}
+
+(* the unique reaching definition of [base] outside the loop, best effort *)
+let origin_of (fn : Func.t) (cs : census) (base : Instr.reg) : origin =
+  if not (Loops.invariant_reg cs.loop_defs base) then Ounknown
+  else if Census.count cs.fn_defs base = 0 then (
     (* never defined: must be a parameter *)
     match List.find_opt (fun p -> p = base) fn.params with
     | Some p ->
@@ -158,45 +155,22 @@ let origin_of (fn : Func.t) (prog : Prog.t) (defs : (Instr.reg, unit) Hashtbl.t)
       in
       index_of 0 fn.params
     | None -> Ounknown)
-  else if !count = 1 then !def
-  else Ounknown
-
-(** Registers holding known integer constants anywhere in the function
-    (single definition, by a Const) — robust to LICM having hoisted them
-    out of the loop. *)
-let function_consts (fn : Func.t) : (Instr.reg, int64) Hashtbl.t =
-  let fun_defs = Hashtbl.create 16 in
-  Func.iter_instrs
-    (fun _ i ->
-      Option.iter
-        (fun d ->
-          Hashtbl.replace fun_defs d
-            (1 + try Hashtbl.find fun_defs d with Not_found -> 0))
-        (Instr.def i))
-    fn;
-  let consts = Hashtbl.create 16 in
-  Func.iter_instrs
-    (fun _ i ->
-      match i with
-      | Instr.Const (d, Value.Int (_, v))
-        when (try Hashtbl.find fun_defs d with Not_found -> 0) = 1 ->
-        Hashtbl.replace consts d v
-      | _ -> ())
-    fn;
-  consts
+  else
+    match Census.find cs.singles base with
+    | Some (Instr.Gaddr (_, g)) -> Oglobal g
+    | _ -> Ounknown
 
 (** Decompose the address register of a load/store into
     [base + (mul iv esz) + static] form. *)
-let memop_shape (fn : Func.t) prog defs (body : Instr.t list) ~iv ~addr
+let memop_shape (fn : Func.t) (cs : census) (body : Instr.t list) ~iv ~addr
     ~(access_ty : Types.t) ~static_off : memop =
   let access_esz = Types.scalar_size (Types.elem access_ty) in
-  let consts = function_consts fn in
   (* find the in-body definition of a register *)
   let find_def r =
     List.find_opt (fun i -> Instr.def i = Some r) body
   in
-  let invariant r = Loops.invariant_reg defs r in
-  let const_def c = Option.map Int64.to_int (Hashtbl.find_opt consts c) in
+  let invariant r = Loops.invariant_reg cs.loop_defs r in
+  let const_def c = Option.map Int64.to_int (Census.find cs.consts c) in
   (* r = iv + k + (sum of loop-invariant registers); returns
      (k, sorted invariant addends).  Handles 2D row indexing like
      [y*W + x + 1] where [y*W] is invariant in the inner loop. *)
@@ -250,7 +224,7 @@ let memop_shape (fn : Func.t) prog defs (body : Instr.t list) ~iv ~addr
           bail "non-unit stride (scale %d, element %d)" scale access_esz;
         {
           base;
-          origin = origin_of fn prog defs base;
+          origin = origin_of fn cs base;
           offset_reg;
           static_off = static_off + shift_bytes;
           dyn_off;
@@ -267,21 +241,26 @@ let memop_shape (fn : Func.t) prog defs (body : Instr.t list) ~iv ~addr
       bail "loop-invariant memory access (not vectorizable profitably)"
     else bail "address is not an add"
 
-let classify_body (fn : Func.t) prog (info : loop_info) lp : body_info =
-  let defs = Loops.defs_in fn lp in
-  let body =
-    List.concat_map (fun l -> (Func.find_block fn l).instrs) info.body_blocks
+let classify_body (fn : Func.t) (info : loop_info) lp : body_info =
+  (* classification leaves [fn] as it is, so one census serves it all *)
+  let singles = Census.single_defs fn in
+  let cs =
+    {
+      fn_defs = Census.defs fn fn.blocks;
+      singles;
+      consts = Census.consts singles;
+      loop_defs = Loops.defs_in fn lp;
+    }
   in
+  let body_blocks = List.map (Func.find_block fn) info.body_blocks in
+  let body = List.concat_map (fun (b : Func.block) -> b.instrs) body_blocks in
   (* registers used after the loop (outside loop blocks) *)
-  let used_after = Hashtbl.create 8 in
-  List.iter
-    (fun (b : Func.block) ->
-      if not (Loops.in_loop lp b.label) then (
-        List.iter
-          (fun i -> List.iter (fun r -> Hashtbl.replace used_after r ()) (Instr.uses i))
-          b.instrs;
-        List.iter (fun r -> Hashtbl.replace used_after r ()) (Instr.term_uses b.term)))
-    fn.blocks;
+  let used_after =
+    Census.uses fn
+      (List.filter
+         (fun (b : Func.block) -> not (Loops.in_loop lp b.label))
+         fn.blocks)
+  in
   (* i-dependence: fixpoint over body *)
   let idep = Hashtbl.create 16 in
   Hashtbl.replace idep info.iv ();
@@ -307,15 +286,7 @@ let classify_body (fn : Func.t) prog (info : loop_info) lp : body_info =
     | Instr.Add | Instr.Min | Instr.Max | Instr.Umin | Instr.Umax -> true
     | _ -> false
   in
-  let def_count = Hashtbl.create 16 in
-  List.iter
-    (fun i ->
-      Option.iter
-        (fun d ->
-          Hashtbl.replace def_count d
-            (1 + try Hashtbl.find def_count d with Not_found -> 0))
-        (Instr.def i))
-    body;
+  let body_defs = Census.defs fn body_blocks in
   let reductions = ref [] in
   List.iter
     (fun i ->
@@ -329,7 +300,7 @@ let classify_body (fn : Func.t) prog (info : loop_info) lp : body_info =
           || Annot.has_flag "pv.fast_math" fn.annots
         in
         if
-          (try Hashtbl.find def_count d with Not_found -> 0) = 1
+          Census.count body_defs d = 1
           && d <> info.iv && reassociation_safe
         then reductions := { acc = d; op; vacc = -1 } :: !reductions
       | _ -> ())
@@ -344,7 +315,7 @@ let classify_body (fn : Func.t) prog (info : loop_info) lp : body_info =
       | Instr.Load (ty, _, base, off) ->
         if Types.is_vector ty then bail "loop is already vectorized";
         let m =
-          memop_shape fn prog defs body ~iv:info.iv ~addr:base ~access_ty:ty
+          memop_shape fn cs body ~iv:info.iv ~addr:base ~access_ty:ty
             ~static_off:off
         in
         min_esz := min !min_esz m.esz;
@@ -352,7 +323,7 @@ let classify_body (fn : Func.t) prog (info : loop_info) lp : body_info =
       | Instr.Store (ty, _, base, off) ->
         if Types.is_vector ty then bail "loop is already vectorized";
         let m =
-          memop_shape fn prog defs body ~iv:info.iv ~addr:base ~access_ty:ty
+          memop_shape fn cs body ~iv:info.iv ~addr:base ~access_ty:ty
             ~static_off:off
         in
         min_esz := min !min_esz m.esz;
@@ -445,11 +416,12 @@ let classify_body (fn : Func.t) prog (info : loop_info) lp : body_info =
     classified;
   (* values defined in the loop must not be observed after it, except
      reductions and the induction variable *)
-  Hashtbl.iter
-    (fun d () ->
-      if Hashtbl.mem used_after d && d <> info.iv && not (is_reduction d)
+  Array.iteri
+    (fun d n ->
+      if n > 0 && Census.count used_after d > 0 && d <> info.iv
+         && not (is_reduction d)
       then bail "loop value r%d observed after the loop" d)
-    defs;
+    cs.loop_defs;
   (* the induction variable itself may appear only in addresses and its own
      increment (a use as data would need an iota vector) *)
   List.iter
@@ -729,7 +701,7 @@ type result = {
 (** Vectorize every eligible innermost loop of [fn].  The work is charged
     to the accountant at offline-analysis rates: this is the expensive
     step the paper moves out of the JIT. *)
-let run_func ?account (prog : Prog.t) (fn : Func.t) : result =
+let run_func ?account (fn : Func.t) : result =
   let cfg = Cfg.build fn in
   let loops = Loops.find cfg in
   let n = Func.instr_count fn in
@@ -756,7 +728,7 @@ let run_func ?account (prog : Prog.t) (fn : Func.t) : result =
       let saved = Func.copy fn in
       match
         let info = recognize fn cfg lp in
-        let body = classify_body fn prog info lp in
+        let body = classify_body fn info lp in
         Account.charge_opt account ~pass:"vectorize.dependence"
           (List.length body.memops * List.length body.memops * 4);
         check_dependences fn body;
@@ -780,4 +752,4 @@ let run_func ?account (prog : Prog.t) (fn : Func.t) : result =
   { vectorized = !vectorized; bailed = !bailed }
 
 let run ?account (prog : Prog.t) : (string * result) list =
-  List.map (fun (fn : Func.t) -> (fn.name, run_func ?account prog fn)) prog.funcs
+  List.map (fun (fn : Func.t) -> (fn.name, run_func ?account fn)) prog.funcs

@@ -97,15 +97,18 @@ let test_all_truncations () =
     corpus
 
 (* A function that declares one register just under [max_regs] takes a
-   few dozen bytes but a dense type table of a million slots (8 MiB).  The
-   decoder refuses it: a program's tables may take eight slots per input
-   byte, and the encoder spends at least two bytes per declared register,
-   so a dense function of many registers still decodes. *)
+   few dozen bytes but a dense type table of a million slots (8 MiB); one
+   that declares only r0 but claims [next_reg] = [max_regs] takes fewer
+   bytes still, yet every interpreter frame of it would allocate a million
+   slots.  The decoder refuses both: a program's functions may claim eight
+   register slots per input byte, [next_reg] each, and the encoder spends
+   at least two bytes per declared register, so a dense function of many
+   registers still decodes. *)
 let test_register_tables_bounded () =
-  let func ~name ~regs =
+  let func ?next_reg ~name ~regs () =
     let fn = Pvir.Func.create ~name ~params:[] ~ret:(Some Pvir.Types.i64) in
     let last = List.fold_left max 0 regs in
-    fn.Pvir.Func.next_reg <- last + 1;
+    fn.Pvir.Func.next_reg <- Option.value next_reg ~default:(last + 1);
     List.iter (fun r -> Pvir.Func.set_reg_type fn r Pvir.Types.i64) regs;
     let b = Pvir.Func.add_block fn in
     b.Pvir.Func.instrs <- [ Pvir.Instr.Const (last, Pvir.Value.i64 1L) ];
@@ -114,7 +117,7 @@ let test_register_tables_bounded () =
     Pvir.Prog.add_func p fn;
     Pvir.Serial.encode p
   in
-  let dense = func ~name:"dense" ~regs:(List.init 4096 Fun.id) in
+  let dense = func ~name:"dense" ~regs:(List.init 4096 Fun.id) () in
   (match Pvir.Serial.decode_result dense with
   | Ok p ->
     let fn = List.hd p.Pvir.Prog.funcs in
@@ -123,15 +126,18 @@ let test_register_tables_bounded () =
   | Error c ->
     Alcotest.failf "a dense function of 4096 registers refused: %s"
       (Pvir.Serial.corruption_to_string c));
-  let top = Pvir.Serial.default_limits.Pvir.Serial.max_regs - 1 in
-  let wide = func ~name:"wide" ~regs:[ top ] in
-  match Pvir.Serial.decode_result wide with
-  | Ok _ ->
-    Alcotest.failf "%d bytes decoded into a table of a million slots"
-      (String.length wide)
-  | Error { Pvir.Serial.reason; _ } ->
-    Alcotest.(check bool) "refused for its register table" true
-      (String.length reason >= 15 && String.sub reason 0 15 = "register tables")
+  let refused what bc =
+    match Pvir.Serial.decode_result bc with
+    | Ok _ ->
+      Alcotest.failf "%d bytes decoded into %s of a million slots"
+        (String.length bc) what
+    | Error { Pvir.Serial.reason; _ } ->
+      Alcotest.(check bool) "refused for its register table" true
+        (String.length reason >= 15 && String.sub reason 0 15 = "register tables")
+  in
+  let max_regs = Pvir.Serial.default_limits.Pvir.Serial.max_regs in
+  refused "a table" (func ~name:"wide" ~regs:[ max_regs - 1 ] ());
+  refused "frames" (func ~name:"tall" ~regs:[ 0 ] ~next_reg:max_regs ())
 
 let () =
   Alcotest.run "fuzz_serial"

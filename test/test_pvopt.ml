@@ -225,6 +225,53 @@ let test_idiom_unsigned () =
       | Pvir.Instr.Binop (Pvir.Instr.Umax, _, _, _) -> true
       | _ -> false))
 
+(* Fusion drops every compare that defines the fused register, the dead
+   [cmp eq] included, so block 1 takes a use away from r2 and block 2 may
+   fuse too: each block must see the use counts of the function as the
+   blocks before it left it. *)
+let idiom_across_blocks_src =
+  {|
+program "idiom_exact"
+
+func @f(r0 : i64, r1 : i64) : i64 {
+  reg r2 : i32
+  reg r3 : i32
+  reg r4 : i32
+  reg r5 : i64
+  reg r6 : i64
+  reg r7 : i64
+  block 0:
+    r3 = const 0:i32
+    br 2
+  block 1:
+    r4 = cmp eq r2, r3
+    r4 = cmp slt r0, r1
+    r5 = select r4, r0, r1
+    r7 = add r5, r6
+    ret r7
+  block 2:
+    r2 = cmp sgt r0, r1
+    r6 = select r2, r0, r1
+    br 1
+}
+|}
+
+let test_idiom_across_blocks () =
+  let p = Pvir.Parse.program idiom_across_blocks_src in
+  let fn = List.hd p.Pvir.Prog.funcs in
+  check bool_t "changed" true (Pvopt.Idiom.run fn);
+  let fused l op d =
+    List.mem
+      (Pvir.Instr.Binop (op, d, 0, 1))
+      (Pvir.Func.find_block fn l).Pvir.Func.instrs
+  in
+  check bool_t "block 1: r5 = min r0, r1" true (fused 1 Pvir.Instr.Min 5);
+  check bool_t "block 2: r6 = max r0, r1" true (fused 2 Pvir.Instr.Max 6);
+  check int_t "no select or compare left" 0
+    (count_matching p (function
+      | Pvir.Instr.Select _ | Pvir.Instr.Cmp _ -> true
+      | _ -> false))
+
 (* ---------------- licm ---------------- *)
 
 let test_licm_hoists () =
@@ -1028,6 +1075,31 @@ void f(i64 n, i32 k) {
 
 (* ---------------- full pipelines ---------------- *)
 
+(* pvopt's printed output, pinned: [Passes.offline_split] over the kernels
+   (each compiled under its own name) and seeds 1-300 of both program
+   generators, [Gen.program_recursive] included, which no other digest
+   covers.  Every pass that reads [Census] counts shows up here. *)
+let test_offline_split_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  let emit name p =
+    let p = Pvir.Prog.copy p in
+    ignore (Pvopt.Passes.offline_split p);
+    Buffer.add_string buf name;
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (Pvir.Pp.program_to_string p)
+  in
+  List.iter
+    (fun (k : Pvkernels.Kernels.t) ->
+      emit k.name (Core.Splitc.frontend ~name:k.name k.source))
+    Pvkernels.Kernels.all;
+  for seed = 1 to 300 do
+    emit (Printf.sprintf "gen-%d" seed) (Pvcheck.Gen.program ~seed);
+    emit (Printf.sprintf "rec-%d" seed) (Pvcheck.Gen.program_recursive ~seed)
+  done;
+  check int_t "bytes" 1_060_095 (Buffer.length buf);
+  check Alcotest.string "md5" "2c7e9549969c277b0fcddcd4a7a1a872"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_pipeline_split_preserves () =
   List.iter
     (fun (k : Pvkernels.Kernels.t) ->
@@ -1080,6 +1152,8 @@ let () =
         [
           Alcotest.test_case "min/max fusion" `Quick test_idiom_minmax;
           Alcotest.test_case "unsigned variant" `Quick test_idiom_unsigned;
+          Alcotest.test_case "fusion across blocks" `Quick
+            test_idiom_across_blocks;
         ] );
       ( "licm",
         [
@@ -1139,5 +1213,7 @@ let () =
         [
           Alcotest.test_case "split preserves kernels" `Quick test_pipeline_split_preserves;
           Alcotest.test_case "cleanup shrinks" `Quick test_pipeline_shrinks_code;
+          Alcotest.test_case "offline_split output pinned" `Quick
+            test_offline_split_pinned;
         ] );
     ]
